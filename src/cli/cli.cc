@@ -630,9 +630,6 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
 
   std::atomic<bool> server_done{false};
   std::thread sigwaiter([&sigs, &server, &server_done, &err] {
-    // Blocks in sigwait only and holds no locks, so forking alignment
-    // workers remain safe while this thread exists.
-    ScopedForkTolerantThread fork_tolerant;
     bool drained = false;
     for (;;) {
       int sig = 0;

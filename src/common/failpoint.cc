@@ -38,6 +38,9 @@ const char* const kKnownSites[] = {
     "server.request.error",        // Daemon request dispatch (transient).
     "server.worker.drop",          // Worker dies between dequeue and reply.
     "server.busy",                 // Admission control refuses the client.
+    "server.isolation.helper_exit",  // Evaluated by the daemon per isolated
+                                     // align: the helper runs the request,
+                                     // then exits before replying.
     "server.cache.append.error",   // Cache-log append fails (IO error).
     "server.cache.append.torn",    // Crash mid-append: torn record on disk.
     "server.cache.replay.error",   // Cache-log open/replay fails (cold start).

@@ -3,12 +3,12 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -115,22 +115,6 @@ Result<int> CountProcThreads() {
   return threads;
 }
 
-namespace {
-std::atomic<int> g_fork_tolerant_threads{0};
-}  // namespace
-
-ScopedForkTolerantThread::ScopedForkTolerantThread() {
-  g_fork_tolerant_threads.fetch_add(1, std::memory_order_relaxed);
-}
-
-ScopedForkTolerantThread::~ScopedForkTolerantThread() {
-  g_fork_tolerant_threads.fetch_sub(1, std::memory_order_relaxed);
-}
-
-int ForkTolerantThreadsRegistered() {
-  return g_fork_tolerant_threads.load(std::memory_order_relaxed);
-}
-
 bool WritePayload(int fd, const std::string& bytes) {
   std::string frame(kPayloadMagic, sizeof(kPayloadMagic));
   const uint64_t len = bytes.size();
@@ -153,18 +137,14 @@ Result<SubprocessResult> RunIsolated(
     const SubprocessOptions& options) {
   // Refuse to fork when threads we do not know about exist: a lock held by
   // one of them at fork time would be held forever in the child. The pool
-  // workers are accounted for because ParallelFor runs inline after fork;
-  // explicitly registered fork-tolerant threads (server workers) have made
-  // the same promise via ScopedForkTolerantThread.
+  // workers are accounted for because ParallelFor runs inline after fork.
   auto threads = CountProcThreads();
-  const int known =
-      1 + ParallelWorkersStarted() + ForkTolerantThreadsRegistered();
+  const int known = 1 + ParallelWorkersStarted();
   if (threads.ok() && *threads > known) {
     return Status::FailedPrecondition(
         "RunIsolated: " + std::to_string(*threads) +
         " threads running but only " + std::to_string(known) +
-        " (main + pool workers + registered fork-tolerant threads) are "
-        "known fork-tolerant");
+        " (main + pool workers) are known fork-tolerant");
   }
 
   GA_FAILPOINT_STATUS(
@@ -178,6 +158,7 @@ Result<SubprocessResult> RunIsolated(
   // Buffered stdio shared with the child would otherwise be flushed twice.
   std::fflush(stdout);
   std::fflush(stderr);
+  const pid_t parent = getpid();
   const pid_t pid = fork();
   if (pid < 0) {
     close(fds[0]);
@@ -187,6 +168,11 @@ Result<SubprocessResult> RunIsolated(
 
   if (pid == 0) {
     // Child. Exit via _exit in every path: the parent owns atexit state.
+    // A child whose parent died (kill -9 of a CLI or a daemon helper) must
+    // not keep computing for nobody: die with it, including when the parent
+    // died before the prctl took effect.
+    prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (getppid() != parent) _exit(1);
     close(fds[0]);
     std::set_new_handler(+[]() { _exit(kOomExitCode); });
     struct rlimit no_core = {0, 0};

@@ -15,7 +15,15 @@
 // inline; see parallel.cc), and RunIsolated refuses to fork — returning
 // FailedPrecondition — when /proc shows threads beyond the main thread and
 // the known pool workers, rather than risking a deadlock on a lock held by a
-// thread that no longer exists.
+// thread that no longer exists. That suits its in-process callers (CLI
+// `align --isolate`, bench `--isolate`, MeasurePeakMemoryMb). The daemon,
+// which runs many threads, never calls it from its own image: its isolated
+// alignments run in single-threaded helpers forked from a zygote at startup
+// (server/isolation.h), so there is no registry of "fork-tolerant" threads.
+//
+// Orphans: the child sets PR_SET_PDEATHSIG to SIGKILL, so a caller killed
+// mid-run (kill -9 of a CLI, a daemon or one of its helpers) leaves no
+// workload running.
 #ifndef GRAPHALIGN_COMMON_SUBPROCESS_H_
 #define GRAPHALIGN_COMMON_SUBPROCESS_H_
 
@@ -91,25 +99,6 @@ Result<SubprocessResult> RunIsolated(const std::function<int(int payload_fd)>& b
 // Writes `bytes` to `fd` as one length-prefixed frame (for use inside the
 // child body). Returns false on a short or failed write.
 bool WritePayload(int fd, const std::string& bytes);
-
-// Declares the current thread fork-tolerant for the lifetime of the object:
-// the thread promises that nothing a RunIsolated child executes depends on
-// state (locks, condition variables) this thread may hold at fork time. The
-// server's worker threads register themselves so they can fork isolated
-// alignments while their siblings keep serving; like the parallel pool's
-// workers, they qualify because the forked child never touches the server's
-// queues or cache. Unregistered foreign threads still make RunIsolated
-// refuse with FailedPrecondition.
-class ScopedForkTolerantThread {
- public:
-  ScopedForkTolerantThread();
-  ~ScopedForkTolerantThread();
-  ScopedForkTolerantThread(const ScopedForkTolerantThread&) = delete;
-  ScopedForkTolerantThread& operator=(const ScopedForkTolerantThread&) = delete;
-};
-
-// Number of currently registered fork-tolerant threads (beyond the pool).
-int ForkTolerantThreadsRegistered();
 
 // Number of threads of the calling process per /proc/self/status, or a
 // Status when /proc is unavailable.

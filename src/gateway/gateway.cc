@@ -15,7 +15,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/subprocess.h"
 #include "gateway/json.h"
 #include "jobs/manager.h"
 #include "store/graph_store.h"
@@ -433,9 +432,6 @@ class Gateway::Impl {
   // a silent stall).
 
   void AcceptLoop() {
-    // Socket shuffling only; fork-tolerant by the same argument as the
-    // daemon's accept thread (common/subprocess.h).
-    ScopedForkTolerantThread fork_tolerant;
     while (!stopping_.load(std::memory_order_relaxed)) {
       const int fd = accept(listen_fd_, nullptr, nullptr);
       if (fd < 0) {
@@ -476,7 +472,6 @@ class Gateway::Impl {
   }
 
   void WorkerLoop() {
-    ScopedForkTolerantThread fork_tolerant;
     for (;;) {
       int fd = -1;
       {

@@ -22,15 +22,12 @@
 #include <unordered_set>
 #include <vector>
 
-#include "align/aligner.h"
-#include "bench_framework/experiment.h"
-#include "common/deadline.h"
 #include "common/failpoint.h"
-#include "common/subprocess.h"
 #include "common/timer.h"
 #include "jobs/manager.h"
 #include "metrics/metrics.h"
 #include "server/cache_store.h"
+#include "server/isolation.h"
 #include "server/protocol.h"
 #include "store/graph_store.h"
 
@@ -38,13 +35,9 @@ namespace graphalign {
 
 namespace {
 
-// Converts between the wire's fixed-width mapping and the library Alignment.
+// Converts the wire's fixed-width mapping to the library Alignment.
 Alignment ToAlignment(const std::vector<int32_t>& wire) {
   return Alignment(wire.begin(), wire.end());
-}
-
-std::vector<int32_t> ToWireMapping(const Alignment& alignment) {
-  return std::vector<int32_t>(alignment.begin(), alignment.end());
 }
 
 void SetSocketTimeouts(int fd, double seconds) {
@@ -55,33 +48,6 @@ void SetSocketTimeouts(int fd, double seconds) {
       static_cast<suseconds_t>((seconds - static_cast<double>(tv.tv_sec)) * 1e6);
   setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-Result<AssignmentMethod> ParseAssignMethod(const std::string& assign) {
-  if (assign == "NN") return AssignmentMethod::kNearestNeighbor;
-  if (assign == "SG") return AssignmentMethod::kSortGreedy;
-  if (assign == "MWM") return AssignmentMethod::kHungarian;
-  if (assign == "JV") return AssignmentMethod::kJonkerVolgenant;
-  return Status::InvalidArgument("unknown assignment method: " + assign);
-}
-
-// The isolated align child reports back either a result or a typed error
-// through the payload pipe: u8 ok, then AlignResult bytes or (u8 code,
-// string message).
-std::string EncodeChildOutcome(const AlignResult& result) {
-  ByteWriter w;
-  w.U8(1);
-  const std::string body = EncodeAlignResult(result);
-  w.Str(body);
-  return w.Take();
-}
-
-std::string EncodeChildError(ResponseCode code, const std::string& message) {
-  ByteWriter w;
-  w.U8(0);
-  w.U8(static_cast<uint8_t>(code));
-  w.Str(message);
-  return w.Take();
 }
 
 // Per-job alignment parameters, independent of how the graphs arrived
@@ -142,27 +108,6 @@ ResponseCode TerminalResponseCode(uint32_t code) {
   return ResponseCode::kError;
 }
 
-bool DecodeChildOutcome(std::string_view payload, Response* response) {
-  ByteReader r(payload);
-  uint8_t ok = 0;
-  if (!r.U8(&ok)) return false;
-  if (ok != 0) {
-    std::string body;
-    if (!r.Str(&body, kMaxFramePayload) || !r.AtEnd()) return false;
-    response->code = ResponseCode::kOk;
-    response->body = std::move(body);
-    return true;
-  }
-  uint8_t code = 0;
-  std::string message;
-  if (!r.U8(&code) || !r.Str(&message, kMaxFramePayload) || !r.AtEnd()) {
-    return false;
-  }
-  response->code = static_cast<ResponseCode>(code);
-  response->message = std::move(message);
-  return true;
-}
-
 }  // namespace
 
 class Server::Impl {
@@ -172,17 +117,20 @@ class Server::Impl {
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  // One slot per worker thread. The worker arms it (deadline/start, then a
-  // release store of active) around each isolated fork; the watchdog reads
-  // active with acquire and flips cancel, which the fork's poll loop turns
-  // into a SIGKILL. A deque, not a vector: atomics are immovable and the
-  // slots must never relocate while the watchdog walks them.
+  // One slot per worker or job-runner thread, each with its own isolation
+  // helper. The thread arms the slot (deadline/start, then a release store
+  // of active) around each isolated alignment; the watchdog reads active
+  // with acquire and flips cancel, which the isolation wait loop forwards
+  // to the helper as the child's SIGKILL. A deque, not a vector: atomics
+  // are immovable and the slots must never relocate while the watchdog
+  // walks them.
   struct WorkerSlot {
     std::atomic<bool> active{false};
     std::atomic<bool> cancel{false};
     std::chrono::steady_clock::time_point start;
     uint64_t deadline_ms = 0;
     std::atomic<uint64_t> restarts{0};
+    IsolationHelper helper;  // Used by the slot's thread only.
   };
 
   struct QuotaBucket {
@@ -205,6 +153,13 @@ class Server::Impl {
     Wait();
     if (listen_fd_ >= 0) close(listen_fd_);
     if (!bound_socket_path_.empty()) unlink(bound_socket_path_.c_str());
+  }
+
+  // Forks the isolation zygote. First thing in Create: no socket bound, no
+  // log replayed, no server thread started, so the zygote's image is small.
+  Status ForkZygote() {
+    GA_ASSIGN_OR_RETURN(zygote_, IsolationZygote::Fork());
+    return Status::Ok();
   }
 
   Status Bind() {
@@ -317,6 +272,9 @@ class Server::Impl {
         jobs_ != nullptr ? std::max(1, options_.job_workers) : 0;
     for (int w = 0; w < options_.workers + job_workers; ++w) {
       slots_.emplace_back();
+      // A helper that fails to start here is retried on the slot's first
+      // request, which reports the failure if it persists.
+      (void)zygote_->Spawn(&slots_.back().helper);
     }
     for (int w = 0; w < options_.workers; ++w) {
       threads_.emplace_back([this, w] { WorkerLoop(&slots_[w]); });
@@ -397,6 +355,10 @@ class Server::Impl {
       threads.swap(threads_);
     }
     for (std::thread& t : threads) t.join();
+    // Every thread that could run an alignment has exited: retire the
+    // helpers and reap the zygote, so the daemon leaves no child behind.
+    for (WorkerSlot& slot : slots_) slot.helper.Close();
+    if (zygote_ != nullptr) zygote_->Close();
     // Close connections that were still queued when the plug was pulled.
     std::lock_guard<std::mutex> lock(mu_);
     for (const QueueEntry& e : queue_) close(e.fd);
@@ -543,10 +505,6 @@ class Server::Impl {
   // Accept loop with admission control.
 
   void AcceptLoop() {
-    // Accepting and turning away overload is queue-and-socket work only;
-    // nothing an isolated child could depend on, so the thread is
-    // fork-tolerant by the same argument as the workers.
-    ScopedForkTolerantThread fork_tolerant;
     while (!stopping_.load(std::memory_order_relaxed)) {
       const int fd = accept(listen_fd_, nullptr, nullptr);
       if (fd < 0) {
@@ -599,10 +557,6 @@ class Server::Impl {
   // Workers.
 
   void WorkerLoop(WorkerSlot* slot) {
-    // Workers fork isolated align children while siblings serve; the child
-    // never touches the queue, the cache, or any server lock, which is what
-    // makes this thread safe to fork under (see common/subprocess.h).
-    ScopedForkTolerantThread fork_tolerant;
     for (;;) {
       int fd = -1;
       double queue_wait_ms = 0.0;
@@ -656,7 +610,6 @@ class Server::Impl {
   // the client as a typed ERROR, and in the stats as a watchdog kill plus a
   // restart on that worker's counter.
   void WatchdogLoop() {
-    ScopedForkTolerantThread fork_tolerant;
     // Own condition variable: the watchdog must never absorb a
     // queue_cv_.notify_one() meant to hand a connection to a worker.
     std::unique_lock<std::mutex> lock(mu_);
@@ -974,19 +927,9 @@ class Server::Impl {
     // Validate what the parent can check cheaply — an unknown algorithm or
     // assignment is a client mistake that deserves an immediate BAD_REQUEST,
     // not a journaled job doomed to FAILED.
-    if (MakeFaultAligner(req.align.algo) == nullptr) {
-      auto made = MakeAligner(req.align.algo);
-      if (!made.ok()) {
-        return ErrorResponse(ResponseCode::kBadRequest,
-                             made.status().ToString());
-      }
-    }
-    if (req.align.assign != "native") {
-      auto parsed = ParseAssignMethod(req.align.assign);
-      if (!parsed.ok()) {
-        return ErrorResponse(ResponseCode::kBadRequest,
-                             parsed.status().ToString());
-      }
+    const Status names = CheckAlignNames(req.align.algo, req.align.assign);
+    if (!names.ok()) {
+      return ErrorResponse(ResponseCode::kBadRequest, names.ToString());
     }
     if (req.align.by_hash && graph_store_ == nullptr) {
       return ErrorResponse(
@@ -1090,7 +1033,6 @@ class Server::Impl {
   // synchronous align uses → journal the completion. Each runner owns a
   // watchdog slot, so a hung job child is killed like a hung request child.
   void JobRunnerLoop(WorkerSlot* slot) {
-    ScopedForkTolerantThread fork_tolerant;
     JobRecord job;
     std::shared_ptr<std::atomic<bool>> cancel;
     while (jobs_->ClaimNext(&job, &cancel)) {
@@ -1184,8 +1126,8 @@ class Server::Impl {
     Result<Graph> g2 = Graph();
     if (req.by_hash) {
       // Submit-by-hash: resolve both graphs from the content-addressed
-      // store. The Graph aims straight into the read-only mapping; the
-      // forked worker below inherits and shares the physical pages.
+      // store. The Graph aims straight into the read-only mapping, so the
+      // cache and quarantine keys cost no parse.
       if (graph_store_ == nullptr) {
         return ErrorResponse(
             ResponseCode::kNoGraph,
@@ -1224,31 +1166,19 @@ class Server::Impl {
             "refusing to re-fork until restart");
   }
 
-  // The post-resolution align path shared by kAlign and every kAlignBatch
-  // job: algorithm/assignment validation, quarantine, cache consult, the
-  // isolated fork, outcome mapping, and cache fill. Graph resolution stays
-  // with the callers so a batch can amortize it across jobs.
+  // The post-resolution align path shared by kAlign, every kAlignBatch job
+  // and the job runner: algorithm/assignment validation, quarantine, cache
+  // consult, the isolated run on the slot's helper, outcome mapping, and
+  // cache fill. Graph resolution stays with the callers so a batch can
+  // amortize it across jobs.
   Response AlignResolved(const Graph& g1, const Graph& g2,
                          const AlignSpec& req, WorkerSlot* slot,
                          const std::atomic<bool>* extra_cancel = nullptr) {
     // Validate the algorithm and assignment up front, in the parent: an
-    // unknown name is a client mistake, not a reason to fork.
-    std::unique_ptr<Aligner> aligner = MakeFaultAligner(req.algo);
-    if (aligner == nullptr) {
-      auto made = MakeAligner(req.algo);
-      if (!made.ok()) {
-        return ErrorResponse(ResponseCode::kError, made.status().ToString());
-      }
-      aligner = std::move(*made);
-    }
-    const bool native = req.assign == "native";
-    AssignmentMethod method = AssignmentMethod::kJonkerVolgenant;
-    if (!native) {
-      auto parsed = ParseAssignMethod(req.assign);
-      if (!parsed.ok()) {
-        return ErrorResponse(ResponseCode::kError, parsed.status().ToString());
-      }
-      method = *parsed;
+    // unknown name is a client mistake, not a reason to isolate anything.
+    const Status names = CheckAlignNames(req.algo, req.assign);
+    if (!names.ok()) {
+      return ErrorResponse(ResponseCode::kError, names.ToString());
     }
 
     // The quarantine signature deliberately ignores the assignment method:
@@ -1283,79 +1213,30 @@ class Server::Impl {
             ? 2.0 * static_cast<double>(req.deadline_ms) / 1000.0 +
                   options_.wall_slack_seconds
             : options_.default_wall_limit_seconds;
-    if (slot != nullptr) {
-      // Arm the watchdog slot before forking: fields first, then the
-      // release store the watchdog acquires them through.
-      slot->deadline_ms =
-          req.deadline_ms > 0 ? static_cast<uint64_t>(req.deadline_ms) : 0;
-      slot->cancel.store(false, std::memory_order_relaxed);
-      slot->start = std::chrono::steady_clock::now();
-      slot->active.store(true, std::memory_order_release);
-      // extra_cancel is the job subsystem's client-cancel flag: a cancelled
-      // async job kills its in-flight child exactly like a watchdog would.
-      isolation.cancel = [slot, extra_cancel] {
-        return slot->cancel.load(std::memory_order_relaxed) ||
-               (extra_cancel != nullptr &&
-                extra_cancel->load(std::memory_order_relaxed));
-      };
-    } else if (extra_cancel != nullptr) {
-      isolation.cancel = [extra_cancel] {
-        return extra_cancel->load(std::memory_order_relaxed);
-      };
-    }
+    // Arm the watchdog slot before dispatching: fields first, then the
+    // release store the watchdog acquires them through.
+    slot->deadline_ms =
+        req.deadline_ms > 0 ? static_cast<uint64_t>(req.deadline_ms) : 0;
+    slot->cancel.store(false, std::memory_order_relaxed);
+    slot->start = std::chrono::steady_clock::now();
+    slot->active.store(true, std::memory_order_release);
+    // extra_cancel is the job subsystem's client-cancel flag: a cancelled
+    // async job kills its in-flight child exactly like a watchdog would.
+    isolation.cancel = [slot, extra_cancel] {
+      return slot->cancel.load(std::memory_order_relaxed) ||
+             (extra_cancel != nullptr &&
+              extra_cancel->load(std::memory_order_relaxed));
+    };
 
-    auto run = RunIsolated(
-        [&](int payload_fd) {
-          const Deadline deadline =
-              req.deadline_ms > 0
-                  ? Deadline::AfterSeconds(
-                        static_cast<double>(req.deadline_ms) / 1000.0)
-                  : Deadline::Infinite();
-          WallTimer align_timer;
-          // Non-native requests take the fault-tolerant path: recoverable
-          // numerical failures come back as degraded results, not errors.
-          // Native extraction has no robust variant (the author-proposed
-          // extraction is part of what it measures).
-          Result<Alignment> alignment = Alignment{};
-          bool degraded = false;
-          std::string degrade_reason;
-          if (native) {
-            alignment = aligner->AlignNative(g1, g2, deadline);
-          } else {
-            auto robust = aligner->AlignRobust(g1, g2, method, deadline);
-            if (robust.ok()) {
-              degraded = robust->degraded;
-              degrade_reason = robust->degrade_reason;
-              alignment = std::move(robust->alignment);
-            } else {
-              alignment = robust.status();
-            }
-          }
-          std::string outcome;
-          if (!alignment.ok()) {
-            ResponseCode code = ResponseCode::kError;
-            if (alignment.status().code() == StatusCode::kDeadlineExceeded) {
-              code = ResponseCode::kDnf;
-            } else if (alignment.status().code() == StatusCode::kNumerical) {
-              code = ResponseCode::kNumerical;
-            }
-            outcome = EncodeChildError(code, alignment.status().ToString());
-          } else {
-            AlignResult result;
-            result.align_seconds = align_timer.Seconds();
-            result.mnc =
-                MeanMatchedNeighborhoodConsistency(g1, g2, *alignment);
-            result.ec = EdgeCorrectness(g1, g2, *alignment);
-            result.s3 = SymmetricSubstructureScore(g1, g2, *alignment);
-            result.mapping = ToWireMapping(*alignment);
-            result.degraded = degraded;
-            result.degrade_reason = degrade_reason;
-            outcome = EncodeChildOutcome(result);
-          }
-          return WritePayload(payload_fd, outcome) ? 0 : 1;
-        },
-        isolation);
-    if (slot != nullptr) slot->active.store(false, std::memory_order_release);
+    AlignRequest spec;
+    spec.algo = req.algo;
+    spec.assign = req.assign;
+    spec.deadline_ms = req.deadline_ms;
+    spec.mem_limit_mb = req.mem_limit_mb;
+    spec.g1 = ToWire(g1);
+    spec.g2 = ToWire(g2);
+    auto run = zygote_->Run(&slot->helper, spec, isolation);
+    slot->active.store(false, std::memory_order_release);
     if (!run.ok()) {
       return ErrorResponse(ResponseCode::kError, run.status().ToString());
     }
@@ -1363,7 +1244,7 @@ class Server::Impl {
     switch (run->status) {
       case RunStatus::kOk:
         ClearFault(fault_key);  // The kernel survived; not poison.
-        if (!run->payload_valid || !DecodeChildOutcome(run->payload,
+        if (!run->payload_valid || !DecodeAlignOutcome(run->payload,
                                                        &response)) {
           return ErrorResponse(
               ResponseCode::kError,
@@ -1612,6 +1493,7 @@ class Server::Impl {
   static constexpr size_t kMaxTrackedFaults = 8192;
 
   const ServerOptions options_;
+  std::unique_ptr<IsolationZygote> zygote_;  // Set by Create, before Bind.
   ResultCache cache_;
   std::unique_ptr<CacheStore> store_;     // Null without cache_dir.
   CacheStore::ReplayStats replay_stats_;  // Fixed after Start().
@@ -1664,6 +1546,7 @@ Server::~Server() = default;
 
 Result<std::unique_ptr<Server>> Server::Create(const ServerOptions& options) {
   auto impl = std::make_unique<Impl>(options);
+  GA_RETURN_IF_ERROR(impl->ForkZygote());
   GA_RETURN_IF_ERROR(impl->Bind());
   return std::unique_ptr<Server>(new Server(std::move(impl)));
 }

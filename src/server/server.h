@@ -9,14 +9,20 @@
 //                        └── full? send a typed BUSY response and close
 //                            (admission control never stalls the accept loop)
 //
-// Request isolation: every align request runs in a forked child via
-// RunIsolated (common/subprocess.h), with the request's deadline_ms mapped
-// to a cooperative Deadline inside the child, a wall-clock SIGKILL backstop
-// behind it, and mem_limit_mb enforced with RLIMIT_AS. A crashing, OOM-ing,
-// or hanging alignment therefore produces a typed CRASH/OOM/DNF response to
-// its own client while the daemon and all other in-flight requests keep
-// going. Evaluate/stats requests are metric-only (no aligner kernels) and
-// run inline in the worker.
+// Request isolation: every align request runs in a brand-new child process
+// via RunIsolated (common/subprocess.h), with the request's deadline_ms
+// mapped to a cooperative Deadline inside the child, a wall-clock SIGKILL
+// backstop behind it, and mem_limit_mb enforced with RLIMIT_AS. A crashing,
+// OOM-ing, or hanging alignment therefore produces a typed CRASH/OOM/DNF
+// response to its own client while the daemon and all other in-flight
+// requests keep going. The daemon never forks after start-up: Create()
+// forks a single-threaded isolation zygote before anything else, which
+// starts one helper process per worker slot, and each helper forks the
+// request children from its own few-MB image (server/isolation.h). So a
+// miss does not pay for copying the daemon's page tables, and no daemon
+// thread has to be audited or registered as safe to fork under.
+// Evaluate/stats requests are metric-only (no aligner kernels) and run
+// inline in the worker.
 //
 // Caching: completed align results are stored in a content-addressed LRU
 // cache (server/cache.h) keyed on (g1 hash, g2 hash, algo, assignment), so
@@ -136,15 +142,16 @@ struct ServerOptions {
 
 class Server {
  public:
-  // Binds and listens. Fails (with a Status) on bad options or socket
-  // errors; never half-starts.
+  // Forks the isolation zygote, then binds and listens. Fails (with a
+  // Status) on bad options, socket errors or a failed fork; never
+  // half-starts. The zygote dies with the calling thread, so call it from
+  // a thread that outlives the server (normally the main thread).
   static Result<std::unique_ptr<Server>> Create(const ServerOptions& options);
 
   ~Server();  // Shutdown() + Wait().
 
-  // Spawns the accept thread and the worker pool. All server threads
-  // register as fork-tolerant (common/subprocess.h) so workers can fork
-  // isolated alignments while their siblings keep serving.
+  // Replays the durable logs, starts one isolation helper per worker and
+  // job runner, and spawns the accept thread and the worker pool.
   Status Start();
 
   // Signals every thread to stop: closes the listening socket, shuts down
@@ -162,7 +169,8 @@ class Server {
   void Drain();
 
   // Joins all server threads. Returns after Shutdown() has taken effect and
-  // every worker has finished its current request.
+  // every worker has finished its current request; then closes the helper
+  // sockets and reaps the zygote, so the server leaves no child process.
   void Wait();
 
   // Resolved TCP port (useful with port = 0); -1 for Unix transport.

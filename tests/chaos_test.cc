@@ -6,6 +6,7 @@
 // ctest label alongside tools/run_chaos.sh, which drives the same sites
 // through the CLI via GRAPHALIGN_FAILPOINTS.
 
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -14,6 +15,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -555,6 +557,84 @@ TEST_F(ChaosServerTest, PersistentNumericalFaultYieldsNumericalResponse) {
   auto resp = client->Call(AlignRequest(g1, g2, "NSD"));
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   EXPECT_EQ(resp->code, ResponseCode::kNumerical) << resp->message;
+}
+
+TEST_F(ChaosServerTest, LostHelperIsTypedErrorAndReplaced) {
+  ServerOptions opts;
+  opts.socket_path = TempSocketPath("helper");
+  opts.workers = 1;  // One slot: the next request must reuse it.
+  StartServer(opts);
+
+  const Graph g1 = SmallGraph(91);
+  const Graph g2 = SmallGraph(92);
+  auto client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  // The helper finishes the alignment, then exits instead of replying.
+  ASSERT_TRUE(
+      ActivateFailpoint("server.isolation.helper_exit", "once").ok());
+  auto lost = client->Call(AlignRequest(g1, g2, "NSD"));
+  ASSERT_TRUE(lost.ok()) << lost.status().ToString();
+  EXPECT_EQ(lost->code, ResponseCode::kError);
+  EXPECT_NE(lost->message.find("isolation helper lost"), std::string::npos)
+      << lost->message;
+
+  // The slot gets a fresh helper from the zygote on its next request.
+  auto again = client->Call(AlignRequest(g1, g2, "NSD"));
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->code, ResponseCode::kOk) << again->message;
+}
+
+// Children of this process, per /proc (the daemon's only one is its zygote).
+std::vector<pid_t> ChildPids() {
+  std::ifstream in("/proc/self/task/" + std::to_string(getpid()) +
+                   "/children");
+  std::vector<pid_t> pids;
+  for (pid_t pid; in >> pid;) pids.push_back(pid);
+  return pids;
+}
+
+// True once `pid` has exited (a zombie counts: it runs nothing).
+bool Exited(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  std::string stat((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  const size_t paren = stat.rfind(')');
+  return paren == std::string::npos || paren + 2 >= stat.size() ||
+         stat[paren + 2] == 'Z';
+}
+
+TEST_F(ChaosServerTest, LostZygoteFailsAlignsFastAndKeepsServing) {
+  ServerOptions opts;
+  opts.socket_path = TempSocketPath("zygote");
+  opts.workers = 2;
+  StartServer(opts);
+
+  const std::vector<pid_t> children = ChildPids();
+  ASSERT_EQ(children.size(), 1u);
+  ASSERT_EQ(::kill(children[0], SIGKILL), 0);
+  for (int i = 0; i < 500 && !Exited(children[0]); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_TRUE(Exited(children[0]));
+
+  // Its helpers died with it: aligns get a typed ERROR, promptly.
+  auto client = Connect(/*timeout_seconds=*/10.0);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  for (int i = 0; i < 3; ++i) {
+    auto resp = client->Call(AlignRequest(SmallGraph(93), SmallGraph(94),
+                                          "NSD"));
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_EQ(resp->code, ResponseCode::kError) << resp->message;
+  }
+  // Everything that does not isolate keeps working.
+  auto ping = client->Call(PingRequest());
+  ASSERT_TRUE(ping.ok()) << ping.status().ToString();
+  EXPECT_EQ(ping->code, ResponseCode::kOk);
+  Request stats;
+  stats.type = RequestType::kServerStats;
+  auto stats_resp = client->Call(stats);
+  ASSERT_TRUE(stats_resp.ok()) << stats_resp.status().ToString();
+  EXPECT_EQ(stats_resp->code, ResponseCode::kOk);
 }
 
 // ---------------------------------------------------------------------------

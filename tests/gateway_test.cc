@@ -21,7 +21,6 @@
 #include "common/exit_codes.h"
 #include "common/failpoint.h"
 #include "common/status.h"
-#include "common/subprocess.h"
 #include "gateway/gateway.h"
 #include "gateway/http.h"
 #include "gateway/json.h"
@@ -876,10 +875,6 @@ TEST_F(GatewayFixture, ConcurrentClientsAllSucceed) {
   const int p = port();
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([t, p, &failures] {
-      // The daemon lives in this process and forks per alignment; these
-      // client threads only touch sockets, so they register as
-      // fork-tolerant exactly like the gateway's own workers.
-      ScopedForkTolerantThread fork_tolerant;
       for (int i = 0; i < kPerThread; ++i) {
         HttpReply reply = (t + i) % 2 == 0
                               ? Get(p, "/healthz")

@@ -5,8 +5,12 @@
 
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -17,7 +21,6 @@
 
 #include "common/status.h"
 #include "common/random.h"
-#include "common/subprocess.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "server/cache.h"
@@ -747,10 +750,6 @@ TEST_F(ServerFixture, ConcurrentClientsAreServed) {
   std::vector<int> oks(4, 0);
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
-      // These client threads share the daemon's process (unlike real
-      // clients), so register them with the fork-safety audit: they only
-      // block on socket IO and hold no locks while workers fork.
-      ScopedForkTolerantThread fork_tolerant;
       auto client = Connect();
       if (!client.ok()) return;
       // Mix of inline (stats) and isolated (align) work per client.
@@ -768,6 +767,62 @@ TEST_F(ServerFixture, ConcurrentClientsAreServed) {
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < 4; ++t) EXPECT_EQ(oks[t], 1) << "client " << t;
+}
+
+TEST_F(ServerFixture, ForeignThreadsDoNotBlockIsolatedAligns) {
+  // Isolated aligns run in helpers forked from the zygote, never in a fork
+  // of this multi-threaded process, so threads nobody accounts for (here
+  // two idle ones) cannot make the daemon refuse an alignment.
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> foreign;
+  for (int t = 0; t < 2; ++t) {
+    foreign.emplace_back([&stop] {
+      while (!stop.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+    });
+  }
+  ServerOptions opts;
+  opts.socket_path = TempSocketPath("foreign");
+  opts.workers = 2;
+  StartServer(opts);
+
+  Rng rng(23);
+  auto g1 = ErdosRenyi(30, 0.2, &rng);
+  auto g2 = ErdosRenyi(30, 0.2, &rng);
+  GA_CHECK(g1.ok() && g2.ok());
+  auto client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  Request align = MakeAlignRequest(*g1, *g2, "NSD");
+  align.align.no_cache = true;
+  Response resp = MustCall(*client, align);
+  EXPECT_EQ(resp.code, ResponseCode::kOk) << resp.message;
+
+  stop.store(true);
+  for (std::thread& t : foreign) t.join();
+}
+
+TEST_F(ServerFixture, WaitLeavesNoChildProcess) {
+  ServerOptions opts;
+  opts.socket_path = TempSocketPath("reap");
+  opts.workers = 2;
+  StartServer(opts);
+  Rng rng(29);
+  auto g1 = ErdosRenyi(30, 0.2, &rng);
+  auto g2 = ErdosRenyi(30, 0.2, &rng);
+  GA_CHECK(g1.ok() && g2.ok());
+  auto client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  EXPECT_EQ(MustCall(*client, MakeAlignRequest(*g1, *g2, "NSD")).code,
+            ResponseCode::kOk);
+
+  // The zygote is this process's only child; Wait() reaps it, and its
+  // helpers and their children die with it.
+  server_->Shutdown();
+  server_->Wait();
+  errno = 0;
+  EXPECT_EQ(waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,15 +4,23 @@
 // failures.
 #include "common/subprocess.h"
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
-#include <unistd.h>
-
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "align/aligner.h"
+#include "bench_framework/experiment.h"
+#include "graph/graph.h"
 #include "gtest/gtest.h"
 
 namespace graphalign {
@@ -182,6 +190,53 @@ TEST(RunIsolatedTest, CancelThatNeverFiresLeavesCleanRunsUntouched) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->status, RunStatus::kOk);
   EXPECT_FALSE(result->killed_on_cancel);
+}
+
+// True once `pid` has exited. A zombie counts: it runs nothing, and the
+// process that inherits it may be slow to reap it.
+bool Exited(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  std::string stat((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  const size_t paren = stat.rfind(')');
+  return paren == std::string::npos || paren + 2 >= stat.size() ||
+         stat[paren + 2] == 'Z';
+}
+
+TEST(RunIsolatedTest, ChildDiesWithItsParent) {
+  // kill -9 of the caller (a CLI, a daemon helper) must not leave its
+  // isolated child running: the child carries PR_SET_PDEATHSIG.
+  int pid_pipe[2];
+  ASSERT_EQ(pipe(pid_pipe), 0);
+  const pid_t parent = fork();
+  ASSERT_GE(parent, 0);
+  if (parent == 0) {
+    close(pid_pipe[0]);
+    std::unique_ptr<Aligner> hang = MakeFaultAligner("_HANG");
+    (void)RunIsolated([&](int) {
+      const pid_t self = getpid();
+      (void)!write(pid_pipe[1], &self, sizeof(self));
+      (void)hang->ComputeSimilarity(Graph(), Graph());  // Never returns.
+      return 0;
+    });
+    _exit(0);
+  }
+  close(pid_pipe[1]);
+  pid_t child = -1;
+  ASSERT_EQ(read(pid_pipe[0], &child, sizeof(child)),
+            static_cast<ssize_t>(sizeof(child)));
+  close(pid_pipe[0]);
+  ASSERT_EQ(kill(parent, SIGKILL), 0);
+  ASSERT_EQ(waitpid(parent, nullptr, 0), parent);
+
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (!Exited(child) && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const bool gone = Exited(child);
+  if (!gone) kill(child, SIGKILL);  // Do not leak a spinning process.
+  EXPECT_TRUE(gone) << "the _HANG child outlived its killed parent by 1 s";
 }
 
 TEST(CountProcThreadsTest, SeesAtLeastTheMainThread) {
