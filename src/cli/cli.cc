@@ -534,10 +534,6 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   options.io_timeout_seconds = *io_timeout;
   options.cache_dir = flags.GetString("cache-dir");
   options.store_dir = flags.GetString("store-dir");
-  auto compact_mb =
-      StrictDoubleFlag(flags, "cache-compact-mb", options.cache_compact_mb);
-  if (!compact_mb.ok()) return Fail(err, compact_mb.status());
-  options.cache_compact_mb = *compact_mb;
   auto quota = StrictDoubleFlag(flags, "quota", options.quota_rps);
   if (!quota.ok()) return Fail(err, quota.status());
   options.quota_rps = *quota;
@@ -1433,8 +1429,8 @@ constexpr char kUsage[] =
     "  stats    --in FILE\n"
     "  serve    --socket PATH | --port N [--workers K] [--cache-mb M]\n"
     "           [--queue Q] [--io-timeout T] [--threads N]\n"
-    "           [--cache-dir DIR] [--cache-compact-mb M] [--quota RPS]\n"
-    "           [--shed] [--quarantine N] [--grace T] [--store-dir DIR]\n"
+    "           [--cache-dir DIR] [--quota RPS] [--shed] [--quarantine N]\n"
+    "           [--grace T] [--store-dir DIR]\n"
     "           [--http-port N]  (also serve the HTTP/JSON gateway; see\n"
     "           README \"HTTP API\". 0 = kernel-assigned)\n"
     "           [--jobs-dir DIR] [--job-attempts N] [--job-ttl T]\n"

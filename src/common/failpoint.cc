@@ -57,6 +57,8 @@ const char* const kKnownSites[] = {
                                    // in-memory cache keeps serving.
     "jobs.journal.append.error",   // Job-journal append fails (IO error).
     "jobs.journal.append.torn",    // Crash mid-append: torn journal record.
+    "jobs.journal.append.enospc",  // Disk full on a journal append: the
+                                   // transition is refused kUnavailable.
     "jobs.journal.replay.error",   // Journal open/replay fails entirely.
     "jobs.exec.delay",             // Stall the job runner before executing
                                    // (holds a job in RUNNING for kill tests).

@@ -16,6 +16,7 @@
 
 #include "common/deadline.h"
 #include "common/failpoint.h"
+#include "common/file_io.h"
 #include "common/memory.h"
 #include "common/parallel.h"
 #include "common/timer.h"
@@ -120,16 +121,7 @@ bool WritePayload(int fd, const std::string& bytes) {
   const uint64_t len = bytes.size();
   frame.append(reinterpret_cast<const char*>(&len), sizeof(len));
   frame.append(bytes);
-  size_t off = 0;
-  while (off < frame.size()) {
-    const ssize_t n = write(fd, frame.data() + off, frame.size() - off);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
+  return WriteAll(fd, frame);
 }
 
 Result<SubprocessResult> RunIsolated(

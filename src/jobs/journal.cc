@@ -1,253 +1,34 @@
 #include "jobs/journal.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-
-#include "common/crc32.h"
-#include "common/failpoint.h"
-
 namespace graphalign {
 
 namespace {
 
-constexpr char kRecordMagic[4] = {'G', 'A', 'J', '1'};
-constexpr size_t kRecordHeaderBytes =
-    sizeof(kRecordMagic) + sizeof(uint32_t) + sizeof(uint32_t);
-
-bool WriteAll(int fd, const char* data, size_t len) {
-  size_t off = 0;
-  while (off < len) {
-    const ssize_t n = write(fd, data + off, len - off);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-// Reads the whole journal into memory. Job events are state transitions
-// (tens of bytes) plus one spec per job; at service-realistic job counts
-// this is megabytes, and replay happens once per daemon start.
-Result<std::string> ReadWholeFile(int fd) {
-  std::string bytes;
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = read(fd, buf, sizeof(buf));
-    if (n == 0) return bytes;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal("job journal read failed: " +
-                              std::string(strerror(errno)));
-    }
-    bytes.append(buf, static_cast<size_t>(n));
-  }
-}
+constexpr RecordLog::Format kJournal = {
+    .magic = {'G', 'A', 'J', '1'},
+    .file_name = "jobs.journal",
+    .min_payload = 1,
+    .max_payload = kMaxJournalPayload,
+    .failpoint_prefix = "jobs.journal",
+    .sync_appends = true,
+};
 
 }  // namespace
-
-std::string JobJournal::BuildRecord(std::string_view payload) {
-  std::string record(kRecordMagic, sizeof(kRecordMagic));
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = Crc32c(payload);
-  record.append(reinterpret_cast<const char*>(&len), sizeof(len));
-  record.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  record.append(payload);
-  return record;
-}
-
-JobJournal::JobJournal(int fd, std::string path)
-    : path_(std::move(path)), fd_(fd) {}
-
-JobJournal::~JobJournal() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ >= 0) close(fd_);
-  fd_ = -1;
-}
 
 Result<std::unique_ptr<JobJournal>> JobJournal::Open(
     const std::string& dir,
     const std::function<void(std::string_view payload)>& on_record,
     ReplayStats* stats) {
-  GA_FAILPOINT_STATUS("jobs.journal.replay.error",
-                      Status::Internal("job journal unreadable (injected)"));
-  if (dir.empty()) {
-    return Status::InvalidArgument("job journal: directory path is empty");
-  }
-  if (mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::Internal("job journal: cannot create " + dir + ": " +
-                            std::string(strerror(errno)));
-  }
-  const std::string path = dir + "/jobs.journal";
-  const int fd = open(path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd < 0) {
-    return Status::Internal("job journal: cannot open " + path + ": " +
-                            std::string(strerror(errno)));
-  }
-  auto bytes = ReadWholeFile(fd);
-  if (!bytes.ok()) {
-    close(fd);
-    return bytes.status();
-  }
-
-  ReplayStats local;
-  size_t pos = 0;            // Cursor into the journal.
-  size_t good_end = 0;       // End offset of the last well-framed record.
-  const std::string& log = *bytes;
-  while (pos < log.size()) {
-    const size_t remaining = log.size() - pos;
-    if (remaining < kRecordHeaderBytes) break;  // Partial header: torn tail.
-    if (std::memcmp(log.data() + pos, kRecordMagic, sizeof(kRecordMagic)) !=
-        0) {
-      break;  // Tail garbage; no trustworthy boundary past this point.
-    }
-    uint32_t len = 0, crc = 0;
-    std::memcpy(&len, log.data() + pos + sizeof(kRecordMagic), sizeof(len));
-    std::memcpy(&crc, log.data() + pos + sizeof(kRecordMagic) + sizeof(len),
-                sizeof(crc));
-    if (len == 0 || len > kMaxJournalPayload) break;
-    if (remaining < kRecordHeaderBytes + len) break;  // Partial body.
-    const std::string_view payload(log.data() + pos + kRecordHeaderBytes,
-                                   len);
-    pos += kRecordHeaderBytes + len;
-    good_end = pos;
-    if (Crc32c(payload) != crc) {
-      // Framing is intact, content is not: local damage, skip just this
-      // record and keep replaying the rest.
-      ++local.crc_skipped;
-      continue;
-    }
-    if (on_record) on_record(payload);
-    ++local.replayed;
-  }
-  local.truncated_bytes = log.size() - good_end;
-  if (local.truncated_bytes > 0) {
-    // Drop the torn tail so future appends start at a record boundary.
-    if (ftruncate(fd, static_cast<off_t>(good_end)) != 0) {
-      close(fd);
-      return Status::Internal("job journal: cannot truncate torn tail of " +
-                              path + ": " + std::string(strerror(errno)));
-    }
-  }
-  if (lseek(fd, 0, SEEK_END) < 0) {
-    close(fd);
-    return Status::Internal("job journal: cannot seek " + path + ": " +
-                            std::string(strerror(errno)));
-  }
-  if (stats != nullptr) *stats = local;
-  return std::unique_ptr<JobJournal>(new JobJournal(fd, path));
-}
-
-Status JobJournal::Append(std::string_view payload) {
-  if (payload.empty() || payload.size() > kMaxJournalPayload) {
-    return Status::InvalidArgument("job journal: bad record size " +
-                                   std::to_string(payload.size()));
-  }
-  const std::string record = BuildRecord(payload);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) {
-    ++append_errors_;
-    return Status::FailedPrecondition("job journal: not open");
-  }
-  if (GA_FAILPOINT_FIRED("jobs.journal.append.error")) {
-    ++append_errors_;
-    return Status::Unavailable("job journal append failed (injected)");
-  }
-  if (GA_FAILPOINT_FIRED("jobs.journal.append.torn")) {
-    // Simulate dying mid-append: header plus half the payload reach disk.
-    const size_t torn =
-        kRecordHeaderBytes + (record.size() - kRecordHeaderBytes) / 2;
-    (void)WriteAll(fd_, record.data(), torn);
-    ++append_errors_;
-    return Status::Unavailable("job journal append torn (injected)");
-  }
-  if (!WriteAll(fd_, record.data(), record.size())) {
-    const int err = errno;
-    ++append_errors_;
-    // ENOSPC/EDQUOT are transient-environment failures, never corruption:
-    // the record simply did not commit.
-    return Status::Unavailable("job journal append failed: " +
-                               std::string(strerror(err)));
-  }
-  if (fsync(fd_) != 0) {
-    ++append_errors_;
-    return Status::Unavailable("job journal fsync failed: " +
-                               std::string(strerror(errno)));
-  }
-  return Status::Ok();
-}
-
-Status JobJournal::Sync() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) return Status::FailedPrecondition("job journal: not open");
-  if (fsync(fd_) != 0) {
-    return Status::Unavailable("job journal fsync failed: " +
-                               std::string(strerror(errno)));
-  }
-  return Status::Ok();
+  GA_ASSIGN_OR_RETURN(std::unique_ptr<RecordLog> log,
+                      RecordLog::Open(dir, kJournal, on_record, stats));
+  return std::unique_ptr<JobJournal>(new JobJournal(std::move(log)));
 }
 
 Status JobJournal::Compact(const std::vector<std::string>& live) {
-  std::string fresh;
-  for (const std::string& payload : live) {
-    fresh += BuildRecord(payload);
-  }
-  const std::string tmp = path_ + ".tmp";
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) {
-    return Status::FailedPrecondition("job journal: not open");
-  }
-  const int tfd = open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (tfd < 0) {
-    return Status::Unavailable("journal compact: cannot create " + tmp +
-                               ": " + std::string(strerror(errno)));
-  }
-  if (!WriteAll(tfd, fresh.data(), fresh.size()) || fsync(tfd) != 0) {
-    const int err = errno;
-    close(tfd);
-    unlink(tmp.c_str());
-    return Status::Unavailable("journal compact: write/fsync of " + tmp +
-                               " failed: " + std::string(strerror(err)));
-  }
-  if (rename(tmp.c_str(), path_.c_str()) != 0) {
-    const int err = errno;
-    close(tfd);
-    unlink(tmp.c_str());
-    return Status::Unavailable("journal compact: rename over " + path_ +
-                               " failed: " + std::string(strerror(err)));
-  }
-  // Make the rename durable; the temp fd IS the new journal, so appends
-  // keep going to the published file.
-  std::string dir = path_;
-  const size_t slash = dir.rfind('/');
-  dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-  const int dfd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    (void)fsync(dfd);
-    close(dfd);
-  }
-  close(fd_);
-  fd_ = tfd;
-  return Status::Ok();
-}
-
-uint64_t JobJournal::log_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) return 0;
-  struct stat st;
-  if (fstat(fd_, &st) != 0) return 0;
-  return static_cast<uint64_t>(st.st_size);
-}
-
-uint64_t JobJournal::append_errors() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return append_errors_;
+  std::vector<RecordLog::Payload> payloads;
+  payloads.reserve(live.size());
+  for (const std::string& payload : live) payloads.push_back({payload});
+  return log_->Compact(payloads);
 }
 
 }  // namespace graphalign

@@ -1,51 +1,28 @@
 // Write-ahead journal for the durable async job subsystem (DESIGN.md §17).
 //
 // Every job state transition — submission, claim, completion, cancellation —
-// is appended as one CRC32C-framed record *before* the in-memory state
-// changes are acted on, so a `kill -9` at any instant leaves a journal that
-// replays to a consistent job table. The framing is the cache log's
-// (server/cache_store) with its own magic:
+// is appended as one record *before* the in-memory state changes are acted
+// on, so a `kill -9` at any instant leaves a journal that replays to a
+// consistent job table. The journal is `jobs.journal`, a record log
+// (common/record_log.h) with magic "GAJ1"; the payload is an opaque event
+// blob owned by jobs/manager.h.
 //
-//   "GAJ1" (4-byte magic) | u32 payload_len | u32 crc32c(payload) | payload
-//
-// where the payload is an opaque event blob owned by jobs/manager.h. Every
-// append is fsynced: jobs are heavyweight (each execution forks an isolated
-// child), so one fsync per transition is noise next to the work it makes
-// durable — and it is exactly what turns "accepted" into a promise that
-// survives the daemon.
-//
-// Replay rules, identical to the cache log, at every record boundary:
-//   * clean EOF                      -> done
-//   * partial header / partial body /
-//     bad magic / absurd length      -> torn or corrupt tail: truncate the
-//                                       file back to the last good record
-//                                       and stop (a crash mid-append wrote
-//                                       it; nothing after it is sound)
-//   * CRC mismatch on a record whose
-//     framing is intact              -> skip just that record and continue
-//
-// Replay never fails the manager: the worst corrupt journal yields an empty
-// job table, not a crash. Compaction (TTL GC) rewrites the live records to
-// a fresh journal and publishes it atomically (temp + fsync + rename +
-// directory fsync), the store's publish idiom, so a crash mid-compaction
-// keeps the old journal whole.
-//
-// Failpoints (tools/run_chaos.sh arms them):
-//   jobs.journal.append.error  - the append is dropped as if write() failed
-//   jobs.journal.append.torn   - a deliberately truncated record is written,
-//                                simulating a crash mid-append
-//   jobs.journal.replay.error  - Open() fails, simulating an unreadable log
+// Every append is fsynced: jobs are heavyweight (each execution forks an
+// isolated child), so one fsync per transition is noise next to the work it
+// makes durable — and it is exactly what turns "accepted" into a promise
+// that survives the daemon. Its failpoints are the record log's under the
+// prefix `jobs.journal`.
 #ifndef GRAPHALIGN_JOBS_JOURNAL_H_
 #define GRAPHALIGN_JOBS_JOURNAL_H_
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/record_log.h"
 #include "common/status.h"
 
 namespace graphalign {
@@ -57,56 +34,39 @@ inline constexpr uint32_t kMaxJournalPayload = (64u << 20) + 4096;
 
 class JobJournal {
  public:
-  struct ReplayStats {
-    uint64_t replayed = 0;         // Records delivered to the callback.
-    uint64_t crc_skipped = 0;      // Intact-framing records with a bad CRC.
-    uint64_t truncated_bytes = 0;  // Torn/corrupt tail bytes dropped.
-  };
+  using ReplayStats = RecordLog::ReplayStats;
 
-  // Opens (creating if needed) `dir`/jobs.journal, replays every good
-  // record through `on_record`, truncates any torn tail, and returns a
-  // journal ready for appends. Fails only when the directory/file cannot
-  // be created or read at all — never because of journal content.
+  // Opens (creating if needed) `dir`/jobs.journal and replays every good
+  // record through `on_record`; see RecordLog::Open.
   static Result<std::unique_ptr<JobJournal>> Open(
       const std::string& dir,
       const std::function<void(std::string_view payload)>& on_record,
       ReplayStats* stats = nullptr);
 
-  ~JobJournal();
-  JobJournal(const JobJournal&) = delete;
-  JobJournal& operator=(const JobJournal&) = delete;
+  // Appends one record and fsyncs it. Thread-safe. An IO error or a full
+  // disk is returned as kUnavailable and counted; the journal stays open.
+  Status Append(std::string_view payload) { return log_->Append({payload}); }
 
-  // Appends one record and fsyncs it. Thread-safe. An append failure (IO
-  // error, disk full) is returned as kUnavailable and counted; the journal
-  // stays open for later appends — durability degrades, service does not.
-  Status Append(std::string_view payload);
+  // fsyncs the journal: a no-op after synced appends, kept as the explicit
+  // seal for SIGTERM drain.
+  Status Sync() { return log_->Sync(); }
 
-  // fsyncs the journal fd (a no-op when every append already synced, kept
-  // as the explicit seal for SIGTERM drain so graceful shutdown never
-  // depends on the per-append behavior).
-  Status Sync();
+  // The record log's compaction rule, given the number of live records.
+  bool CompactionDue(uint64_t live_records) const {
+    return log_->CompactionDue(live_records);
+  }
 
-  // Rewrites the journal to hold exactly `live` records, in order, dropping
-  // everything else (superseded transitions, CRC-skipped residue, GC'd
-  // jobs). Published atomically; on failure the old journal and fd keep
-  // working unchanged. Thread-safe against Append.
+  // Rewrites the journal to hold exactly `live`, in order, published
+  // atomically.
   Status Compact(const std::vector<std::string>& live);
 
-  // Current byte size of the journal on disk (0 if unusable).
-  uint64_t log_bytes() const;
-
-  uint64_t append_errors() const;
-  const std::string& path() const { return path_; }
+  uint64_t log_bytes() const { return log_->log_bytes(); }
+  uint64_t append_errors() const { return log_->append_errors(); }
 
  private:
-  JobJournal(int fd, std::string path);
+  explicit JobJournal(std::unique_ptr<RecordLog> log) : log_(std::move(log)) {}
 
-  static std::string BuildRecord(std::string_view payload);
-
-  const std::string path_;
-  mutable std::mutex mu_;
-  int fd_ = -1;
-  uint64_t append_errors_ = 0;
+  const std::unique_ptr<RecordLog> log_;
 };
 
 }  // namespace graphalign

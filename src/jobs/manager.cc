@@ -429,18 +429,19 @@ Status JobManager::Gc(uint64_t now_ms) {
     }
   }
   gced_ += expired;
-  if (expired == 0 && journal_->log_bytes() <= options_.compact_bytes) {
-    return Status::Ok();
-  }
-  // Rewrite the journal to exactly the live jobs: one submit event each,
-  // plus one state event for any job that has moved past a fresh ACCEPTED.
+  // The live journal is one submit event per job, plus one state event for
+  // any job that has moved past a fresh ACCEPTED.
+  auto has_state = [](const JobRecord& rec) {
+    return rec.state != JobState::kAccepted || rec.attempts > 0;
+  };
+  uint64_t live_records = 0;
+  for (const auto& [id, rec] : jobs_) live_records += has_state(rec) ? 2 : 1;
+  if (!journal_->CompactionDue(live_records)) return Status::Ok();
   std::vector<std::string> live;
-  live.reserve(jobs_.size() * 2);
+  live.reserve(live_records);
   for (const auto& [id, rec] : jobs_) {
     live.push_back(EncodeSubmitEvent(rec));
-    if (rec.state != JobState::kAccepted || rec.attempts > 0) {
-      live.push_back(EncodeStateEvent(rec));
-    }
+    if (has_state(rec)) live.push_back(EncodeStateEvent(rec));
   }
   return journal_->Compact(live);
 }

@@ -87,7 +87,6 @@ struct JobManagerOptions {
   std::string dir;            // Journal directory (required).
   uint32_t max_attempts = 3;  // Executions per job before typed FAILED.
   uint64_t ttl_seconds = 24 * 3600;  // Terminal-job retention before Gc.
-  uint64_t compact_bytes = 4u << 20;  // Gc compacts once the log exceeds this.
   // terminal_code stamped on jobs whose attempts are exhausted (at recovery
   // or retryable completion). Opaque here; the server passes its CRASH code.
   uint32_t exhausted_terminal_code = 0;
@@ -169,8 +168,8 @@ class JobManager {
   // FailedPrecondition for jobs already terminal.
   Result<JobRecord> Cancel(uint64_t job_id, uint64_t now_ms);
 
-  // Expires terminal jobs older than ttl_seconds and compacts the journal
-  // when it has grown past compact_bytes (or anything was expired).
+  // Expires terminal jobs older than ttl_seconds, then compacts the journal
+  // when more than half its records are dead (RecordLog::CompactionDue).
   Status Gc(uint64_t now_ms);
 
   // fsyncs the journal: the explicit seal for SIGTERM drain.

@@ -1,257 +1,60 @@
 #include "server/cache_store.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstring>
 
-#include "common/crc32.h"
-#include "common/failpoint.h"
 #include "server/protocol.h"
 
 namespace graphalign {
 
 namespace {
 
-constexpr char kRecordMagic[4] = {'G', 'A', 'R', '1'};
-constexpr size_t kRecordHeaderBytes =
-    sizeof(kRecordMagic) + sizeof(uint32_t) + sizeof(uint32_t);
-// A record payload is u64 key + value; values are response bodies, already
-// bounded by the frame cap. Anything declaring more is corrupt framing.
-constexpr uint32_t kMaxRecordPayload = kMaxFramePayload + sizeof(uint64_t);
+// Values are response bodies, already bounded by the frame cap.
+constexpr RecordLog::Format kCacheLog = {
+    .magic = {'G', 'A', 'R', '1'},
+    .file_name = "cache.log",
+    .min_payload = sizeof(uint64_t),
+    .max_payload = kMaxFramePayload + sizeof(uint64_t),
+    .failpoint_prefix = "server.cache",
+    .sync_appends = false,
+};
 
-std::string BuildRecord(uint64_t key, const std::string& value) {
-  std::string payload;
-  payload.reserve(sizeof(key) + value.size());
-  payload.append(reinterpret_cast<const char*>(&key), sizeof(key));
-  payload.append(value);
-  std::string record(kRecordMagic, sizeof(kRecordMagic));
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = Crc32c(payload);
-  record.append(reinterpret_cast<const char*>(&len), sizeof(len));
-  record.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  record.append(payload);
-  return record;
-}
-
-bool WriteAll(int fd, const char* data, size_t len) {
-  size_t off = 0;
-  while (off < len) {
-    const ssize_t n = write(fd, data + off, len - off);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-// Reads the whole log into memory. Cache logs hold encoded align results of
-// request-sized graphs; at service-realistic sizes this is megabytes, and
-// replay happens once per daemon start.
-Result<std::string> ReadWholeFile(int fd) {
-  std::string bytes;
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = read(fd, buf, sizeof(buf));
-    if (n == 0) return bytes;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal("cache log read failed: " +
-                              std::string(strerror(errno)));
-    }
-    bytes.append(buf, static_cast<size_t>(n));
-  }
+std::string_view KeyBytes(const uint64_t& key) {
+  return {reinterpret_cast<const char*>(&key), sizeof(key)};
 }
 
 }  // namespace
-
-CacheStore::CacheStore(int fd, std::string path)
-    : path_(std::move(path)), fd_(fd) {}
-
-CacheStore::~CacheStore() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ >= 0) close(fd_);
-  fd_ = -1;
-}
 
 Result<std::unique_ptr<CacheStore>> CacheStore::Open(
     const std::string& dir,
     const std::function<void(uint64_t key, std::string value)>& on_record,
     ReplayStats* stats) {
-  GA_FAILPOINT_STATUS("server.cache.replay.error",
-                      Status::Internal("cache log unreadable (injected)"));
-  if (dir.empty()) {
-    return Status::InvalidArgument("cache store: directory path is empty");
-  }
-  if (mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::Internal("cache store: cannot create " + dir + ": " +
-                            std::string(strerror(errno)));
-  }
-  const std::string path = dir + "/cache.log";
-  const int fd = open(path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd < 0) {
-    return Status::Internal("cache store: cannot open " + path + ": " +
-                            std::string(strerror(errno)));
-  }
-  auto bytes = ReadWholeFile(fd);
-  if (!bytes.ok()) {
-    close(fd);
-    return bytes.status();
-  }
+  GA_ASSIGN_OR_RETURN(
+      std::unique_ptr<RecordLog> log,
+      RecordLog::Open(
+          dir, kCacheLog,
+          [&on_record](std::string_view payload) {
+            uint64_t key = 0;
+            std::memcpy(&key, payload.data(), sizeof(key));
+            if (on_record) {
+              on_record(key, std::string(payload.substr(sizeof(key))));
+            }
+          },
+          stats));
+  return std::unique_ptr<CacheStore>(new CacheStore(std::move(log)));
+}
 
-  ReplayStats local;
-  size_t pos = 0;            // Cursor into the log.
-  size_t good_end = 0;       // End offset of the last well-framed record.
-  const std::string& log = *bytes;
-  while (pos < log.size()) {
-    const size_t remaining = log.size() - pos;
-    if (remaining < kRecordHeaderBytes) break;  // Partial header: torn tail.
-    if (std::memcmp(log.data() + pos, kRecordMagic, sizeof(kRecordMagic)) !=
-        0) {
-      break;  // Tail garbage; no trustworthy boundary past this point.
-    }
-    uint32_t len = 0, crc = 0;
-    std::memcpy(&len, log.data() + pos + sizeof(kRecordMagic), sizeof(len));
-    std::memcpy(&crc, log.data() + pos + sizeof(kRecordMagic) + sizeof(len),
-                sizeof(crc));
-    if (len < sizeof(uint64_t) || len > kMaxRecordPayload) break;
-    if (remaining < kRecordHeaderBytes + len) break;  // Partial body.
-    const std::string_view payload(log.data() + pos + kRecordHeaderBytes,
-                                   len);
-    pos += kRecordHeaderBytes + len;
-    good_end = pos;
-    if (Crc32c(payload) != crc) {
-      // Framing is intact, content is not: local damage, skip just this
-      // record and keep replaying the rest.
-      ++local.crc_skipped;
-      continue;
-    }
-    uint64_t key = 0;
-    std::memcpy(&key, payload.data(), sizeof(key));
-    if (on_record) {
-      on_record(key, std::string(payload.substr(sizeof(key))));
-    }
-    ++local.replayed;
-  }
-  local.truncated_bytes = log.size() - good_end;
-  if (local.truncated_bytes > 0) {
-    // Drop the torn tail so future appends start at a record boundary.
-    if (ftruncate(fd, static_cast<off_t>(good_end)) != 0) {
-      close(fd);
-      return Status::Internal("cache store: cannot truncate torn tail of " +
-                              path + ": " + std::string(strerror(errno)));
-    }
-  }
-  if (lseek(fd, 0, SEEK_END) < 0) {
-    close(fd);
-    return Status::Internal("cache store: cannot seek " + path + ": " +
-                            std::string(strerror(errno)));
-  }
-  if (stats != nullptr) *stats = local;
-  return std::unique_ptr<CacheStore>(new CacheStore(fd, path));
+void CacheStore::Append(uint64_t key, const std::string& value) {
+  (void)log_->Append({KeyBytes(key), value});
 }
 
 Status CacheStore::Compact(
     const std::vector<std::pair<uint64_t, std::string>>& live) {
-  std::string fresh;
+  std::vector<RecordLog::Payload> payloads;
+  payloads.reserve(live.size());
   for (const auto& [key, value] : live) {
-    fresh += BuildRecord(key, value);
+    payloads.push_back({KeyBytes(key), value});
   }
-  const std::string tmp = path_ + ".tmp";
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) {
-    return Status::FailedPrecondition("cache store: not open");
-  }
-  const int tfd = open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (tfd < 0) {
-    return Status::Unavailable("cache compact: cannot create " + tmp + ": " +
-                               std::string(strerror(errno)));
-  }
-  if (!WriteAll(tfd, fresh.data(), fresh.size()) || fsync(tfd) != 0) {
-    const int err = errno;
-    close(tfd);
-    unlink(tmp.c_str());
-    return Status::Unavailable("cache compact: write/fsync of " + tmp +
-                               " failed: " + std::string(strerror(err)));
-  }
-  if (rename(tmp.c_str(), path_.c_str()) != 0) {
-    const int err = errno;
-    close(tfd);
-    unlink(tmp.c_str());
-    return Status::Unavailable("cache compact: rename over " + path_ +
-                               " failed: " + std::string(strerror(err)));
-  }
-  // Make the rename durable; the temp fd IS the new log, so appends keep
-  // going to the published file.
-  std::string dir = path_;
-  const size_t slash = dir.rfind('/');
-  dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-  const int dfd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    (void)fsync(dfd);
-    close(dfd);
-  }
-  close(fd_);
-  fd_ = tfd;
-  return Status::Ok();
-}
-
-uint64_t CacheStore::log_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) return 0;
-  struct stat st;
-  if (fstat(fd_, &st) != 0) return 0;
-  return static_cast<uint64_t>(st.st_size);
-}
-
-void CacheStore::Append(uint64_t key, const std::string& value) {
-  const std::string record = BuildRecord(key, value);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) {
-    ++append_errors_;
-    return;
-  }
-  if (GA_FAILPOINT_FIRED("server.cache.append.error")) {
-    ++append_errors_;
-    return;
-  }
-  if (GA_FAILPOINT_FIRED("server.cache.append.enospc")) {
-    // Disk full is a transient-environment failure: the record is dropped
-    // and counted exactly like any other failed write — never treated as
-    // corruption, never quarantined.
-    ++append_errors_;
-    return;
-  }
-  if (GA_FAILPOINT_FIRED("server.cache.append.torn")) {
-    // Simulate dying mid-append: header plus half the payload reach disk.
-    const size_t torn = kRecordHeaderBytes + (record.size() - kRecordHeaderBytes) / 2;
-    (void)WriteAll(fd_, record.data(), torn);
-    ++append_errors_;
-    return;
-  }
-  if (!WriteAll(fd_, record.data(), record.size())) {
-    ++append_errors_;
-  }
-}
-
-Status CacheStore::Sync() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) return Status::FailedPrecondition("cache store: not open");
-  if (fsync(fd_) != 0) {
-    return Status::Unavailable("cache log fsync failed: " +
-                               std::string(strerror(errno)));
-  }
-  return Status::Ok();
-}
-
-uint64_t CacheStore::append_errors() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return append_errors_;
+  return log_->Compact(payloads);
 }
 
 }  // namespace graphalign

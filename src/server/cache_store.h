@@ -2,112 +2,63 @@
 //
 // The in-memory ResultCache evaporates on every daemon restart, which turns
 // a routine deploy into a cold-start stampede of recomputed alignments. The
-// CacheStore persists completed entries to an append-only log so a restart
-// replays them and comes up warm.
+// CacheStore persists completed entries to `cache.log`, a record log
+// (common/record_log.h) with magic "GAR1", so a restart replays them and
+// comes up warm. A record's payload is the u64 cache key followed by the
+// encoded AlignResult bytes.
 //
-// Record layout (all integers little-endian):
-//
-//   "GAR1" (4-byte magic) | u32 payload_len | u32 crc32c(payload) | payload
-//
-// where payload = u64 cache key | encoded AlignResult bytes. The log is
-// append-only while serving — records are never rewritten in place — so the
-// only failure modes a crash can leave behind are a torn record at the tail
-// (partial header or body) or, with bit rot, a record whose CRC no longer
-// matches. Growth is bounded by startup compaction (Compact, behind
-// `serve --cache-compact-mb`): live records are rewritten to a fresh log
-// and published atomically, so a crash mid-compaction costs nothing.
-//
-// Replay rules, in order, at every record boundary:
-//   * clean EOF                       -> done
-//   * partial header / partial body /
-//     bad magic / absurd length       -> torn or corrupt tail: truncate the
-//                                        file back to the last good record
-//                                        and stop (a crash mid-append wrote
-//                                        it; nothing after it is sound)
-//   * CRC mismatch on a record whose
-//     framing is intact               -> skip just that record and continue
-//                                        (bit rot is local; later records
-//                                        framed correctly are independent)
-//
-// Replay therefore never fails the daemon: the worst corrupt log yields a
-// cold (empty) cache, not a crash. Append failures are counted and the
-// in-memory cache keeps serving; durability degrades, service does not.
-//
-// Failpoints in the write path (tools/run_chaos.sh arms them):
-//   server.cache.append.error  - the append is dropped as if write() failed
-//   server.cache.append.enospc - the append is dropped as if the disk were
-//                                full (ENOSPC): counted, never corruption
-//   server.cache.append.torn   - a deliberately truncated record is written,
-//                                simulating a crash mid-append
-//   server.cache.replay.error  - Open() fails, simulating an unreadable log
+// Append failures are counted, never returned: the in-memory cache keeps
+// serving, so durability degrades and service does not. Its failpoints are
+// the record log's under the prefix `server.cache`.
 #ifndef GRAPHALIGN_SERVER_CACHE_STORE_H_
 #define GRAPHALIGN_SERVER_CACHE_STORE_H_
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/record_log.h"
 #include "common/status.h"
 
 namespace graphalign {
 
 class CacheStore {
  public:
-  struct ReplayStats {
-    uint64_t replayed = 0;         // Records delivered to the callback.
-    uint64_t crc_skipped = 0;      // Intact-framing records with a bad CRC.
-    uint64_t truncated_bytes = 0;  // Torn/corrupt tail bytes dropped.
-  };
+  using ReplayStats = RecordLog::ReplayStats;
 
-  // Opens (creating if needed) `dir`/cache.log, replays every good record
-  // through `on_record`, truncates any torn tail, and returns a store ready
-  // for appends. `stats` (optional) receives the replay accounting. Fails
-  // only when the directory/file cannot be created or read at all — never
-  // because of log content.
+  // Opens (creating if needed) `dir`/cache.log and replays every good
+  // record through `on_record`; see RecordLog::Open.
   static Result<std::unique_ptr<CacheStore>> Open(
       const std::string& dir,
       const std::function<void(uint64_t key, std::string value)>& on_record,
       ReplayStats* stats = nullptr);
 
-  ~CacheStore();
-  CacheStore(const CacheStore&) = delete;
-  CacheStore& operator=(const CacheStore&) = delete;
-
-  // Appends one record. Thread-safe. Failures are absorbed: the error is
-  // counted (append_errors) and the caller's in-memory cache is unaffected.
+  // Appends one record. Thread-safe. Failures, including a value too large
+  // to replay, are counted in append_errors.
   void Append(uint64_t key, const std::string& value);
 
-  // Rewrites the log to hold exactly `live` records, in order, dropping
-  // everything else (superseded values, CRC-skipped residue). The new log
-  // is published atomically — records are written to `cache.log.tmp`,
-  // fsynced, renamed over `cache.log`, and the directory fsynced — so a
-  // crash mid-compaction leaves the old log fully intact. On success the
-  // append fd switches to the new file; on failure the old log and fd keep
-  // working unchanged. Thread-safe against Append.
+  // The record log's compaction rule, given the number of resident entries.
+  bool CompactionDue(uint64_t live_entries) const {
+    return log_->CompactionDue(live_entries);
+  }
+
+  // Rewrites the log to hold exactly `live`, in order, published atomically.
   Status Compact(const std::vector<std::pair<uint64_t, std::string>>& live);
 
-  // fsyncs the log fd: appends are buffered writes, so this is the seal a
-  // graceful (SIGTERM) drain applies before exit to make every record that
-  // reached the kernel durable.
-  Status Sync();
+  // fsyncs the log: appends are buffered writes, so a graceful (SIGTERM)
+  // drain applies this seal before exit.
+  Status Sync() { return log_->Sync(); }
 
-  // Current byte size of the log on disk (0 if the store is unusable).
-  uint64_t log_bytes() const;
-
-  uint64_t append_errors() const;
-  const std::string& path() const { return path_; }
+  uint64_t log_bytes() const { return log_->log_bytes(); }
+  uint64_t append_errors() const { return log_->append_errors(); }
 
  private:
-  CacheStore(int fd, std::string path);
+  explicit CacheStore(std::unique_ptr<RecordLog> log) : log_(std::move(log)) {}
 
-  const std::string path_;
-  mutable std::mutex mu_;
-  int fd_ = -1;
-  uint64_t append_errors_ = 0;
+  const std::unique_ptr<RecordLog> log_;
 };
 
 }  // namespace graphalign

@@ -206,24 +206,20 @@ class Server::Impl {
         std::fprintf(stderr, "cache store disabled (cold cache): %s\n",
                      store.status().ToString().c_str());
       }
-      if (store_ != nullptr && options_.cache_compact_mb > 0.0) {
-        // Startup compaction: the replayed log may be mostly superseded
-        // values and skipped residue; past the threshold, rewrite just the
-        // live entries. Atomic publish — failure keeps the old log whole.
-        const uint64_t threshold = static_cast<uint64_t>(
-            options_.cache_compact_mb * 1024.0 * 1024.0);
+      // Startup compaction: when most of the replayed log is superseded
+      // values or skipped residue, rewrite just the resident entries.
+      // Atomic publish — failure keeps the old log whole.
+      if (store_ != nullptr &&
+          store_->CompactionDue(cache_.GetStats().entries)) {
         const uint64_t before = store_->log_bytes();
-        if (before > threshold) {
-          Status compacted = store_->Compact(cache_.Snapshot());
-          if (compacted.ok()) {
-            std::fprintf(stderr,
-                         "cache log compacted: %llu -> %llu bytes\n",
-                         static_cast<unsigned long long>(before),
-                         static_cast<unsigned long long>(store_->log_bytes()));
-          } else {
-            std::fprintf(stderr, "cache log compaction failed (kept): %s\n",
-                         compacted.ToString().c_str());
-          }
+        Status compacted = store_->Compact(cache_.Snapshot());
+        if (compacted.ok()) {
+          std::fprintf(stderr, "cache log compacted: %llu -> %llu bytes\n",
+                       static_cast<unsigned long long>(before),
+                       static_cast<unsigned long long>(store_->log_bytes()));
+        } else {
+          std::fprintf(stderr, "cache log compaction failed (kept): %s\n",
+                       compacted.ToString().c_str());
         }
       }
     }
@@ -637,7 +633,7 @@ class Server::Impl {
       }
       // Piggyback periodic job GC on the watchdog cadence (~every 60s of
       // 200ms scans): expire terminal jobs past their TTL and compact the
-      // journal once it has grown past the threshold.
+      // journal once more than half of it is dead.
       if (jobs_ != nullptr && ++job_gc_ticks_ >= 300) {
         job_gc_ticks_ = 0;
         Status gc = jobs_->Gc(UnixMs());

@@ -78,7 +78,8 @@ struct ServerOptions {
   double default_wall_limit_seconds = 300.0;
 
   // Durable cache log directory (server/cache_store.h). Replayed at
-  // startup (warm restart); every clean cached result is appended. Empty =
+  // startup (warm restart) and compacted there when more than half of it
+  // is dead; every clean cached result is appended. Empty =
   // in-memory cache only. Open/replay failure degrades to a cold cache and
   // is counted in the stats; it never prevents startup.
   std::string cache_dir;
@@ -111,12 +112,6 @@ struct ServerOptions {
   // directory degrades the daemon to the wire-graph path — startup never
   // fails because of the store.
   std::string store_dir;
-
-  // Startup compaction threshold for the durable cache log, in megabytes:
-  // when the log on disk exceeds this after replay, live records are
-  // rewritten to a fresh log via the same atomic temp+fsync+rename publish
-  // the store uses. 0 = never compact.
-  double cache_compact_mb = 0.0;
 
   // Durable async job subsystem (src/jobs, DESIGN.md §17): kSubmitJob
   // requests are journaled here and executed by dedicated runner threads;

@@ -1,7 +1,6 @@
 #include "store/gst.h"
 
 #include <fcntl.h>
-#include <libgen.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -13,6 +12,7 @@
 
 #include "common/crc32.h"
 #include "common/failpoint.h"
+#include "common/file_io.h"
 #include "store/mapped_file.h"
 
 namespace graphalign {
@@ -40,19 +40,6 @@ uint64_t GetU64(std::string_view bytes, size_t pos) {
   uint64_t v = 0;
   std::memcpy(&v, bytes.data() + pos, sizeof(v));
   return v;
-}
-
-bool WriteAll(int fd, const char* data, size_t len) {
-  size_t off = 0;
-  while (off < len) {
-    const ssize_t n = write(fd, data + off, len - off);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
 }
 
 Status Corrupt(const std::string& what) {
@@ -253,7 +240,7 @@ Status WriteGstFile(const Graph& g, const std::string& path) {
     return Status::Unavailable("cannot create " + tmp + ": " +
                                std::string(strerror(errno)));
   }
-  if (!WriteAll(fd, bytes.data(), bytes.size())) {
+  if (!WriteAll(fd, bytes)) {
     const int err = errno;
     close(fd);
     unlink(tmp.c_str());
@@ -278,23 +265,7 @@ Status WriteGstFile(const Graph& g, const std::string& path) {
     return Status::Unavailable("rename to " + path + " failed: " +
                                std::string(strerror(err)));
   }
-  // fsync the directory so the rename itself survives power loss; without
-  // it the publish is atomic but not yet durable.
-  std::string dir_copy = path;
-  const char* dir = dirname(dir_copy.data());
-  const int dfd = open(dir, O_RDONLY | O_DIRECTORY);
-  if (dfd < 0) {
-    return Status::Unavailable("cannot open directory " + std::string(dir) +
-                               " for fsync: " + std::string(strerror(errno)));
-  }
-  if (fsync(dfd) != 0) {
-    const int err = errno;
-    close(dfd);
-    return Status::Unavailable("directory fsync failed: " +
-                               std::string(strerror(err)));
-  }
-  close(dfd);
-  return Status::Ok();
+  return SyncParentDir(path);
 }
 
 }  // namespace graphalign

@@ -4,6 +4,7 @@
 // v5 protocol codecs the job surface rides on. Registered under the `jobs`
 // ctest label; tools/run_jobs_smoke.sh drives the same contract end-to-end
 // through a real daemon and a real kill -9.
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -354,6 +355,35 @@ TEST_F(JobsTest, JournalAppendFailureRefusesTheSubmit) {
   EXPECT_EQ(m->Stats().pending, 0u);
   // The journal stays open; the next submit succeeds.
   EXPECT_TRUE(m->Submit("", "unjournaled-spec", 2100).ok());
+}
+
+TEST_F(JobsTest, JournalDiskFullRefusesTheSubmitAsUnavailable) {
+  auto m = OpenManager();
+  ASSERT_TRUE(ActivateFailpoint("jobs.journal.append.enospc", "once").ok());
+  auto refused = m->Submit("", "disk-full-spec", 2000);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(m->Get(JobContentId("disk-full-spec")).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(m->Stats().journal_append_errors, 1u);
+  EXPECT_TRUE(m->Submit("", "disk-full-spec", 2100).ok());
+}
+
+TEST_F(JobsTest, GcLeavesAnAllLiveJournalInPlace) {
+  // Over 4 MB of journal in which every record is live: a size threshold
+  // would rewrite it, the dead-share rule must not.
+  auto m = OpenManager();
+  for (char c = 'a'; c < 'f'; ++c) {
+    ASSERT_TRUE(m->Submit("", std::string(1 << 20, c), 2000).ok());
+  }
+  ASSERT_GT(m->Stats().journal_bytes, 4u << 20);
+  struct stat before;
+  ASSERT_EQ(::stat((dir_ + "/jobs.journal").c_str(), &before), 0);
+  ASSERT_TRUE(m->Gc(3000).ok());
+  struct stat after;
+  ASSERT_EQ(::stat((dir_ + "/jobs.journal").c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino);
+  EXPECT_EQ(after.st_size, before.st_size);
 }
 
 TEST_F(JobsTest, ContentIdIsStableAndNonZero) {

@@ -5,7 +5,8 @@
 # the test matrix (DESIGN.md §13), not just the release build. The protocol
 # fuzz suite rides along: randomized/truncated/bit-flipped frames into the
 # wire decoders are exactly the inputs where ASan turns a silent overread
-# into a hard failure.
+# into a hard failure. The record-log suite rides along for the same reason:
+# it replays every truncation and every bit flip of a small log.
 #
 # Usage: tools/run_sanitize.sh [source-dir]
 # Exits 77 (the ctest SKIP_RETURN_CODE) when the toolchain cannot produce an
@@ -26,9 +27,10 @@ fi
 
 cmake -S "$SRC" -B "$BUILD" -DGRAPHALIGN_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-# Only the sparse suite, the protocol fuzz suite, and their dependency
-# closure — not the whole tree.
-cmake --build "$BUILD" --target sparse_test protocol_fuzz_test -j > /dev/null
+# Only the sparse suite, the protocol fuzz suite, the record-log suite, and
+# their dependency closure — not the whole tree.
+cmake --build "$BUILD" --target sparse_test protocol_fuzz_test \
+  record_log_test -j > /dev/null
 
 # halt_on_error keeps the failure visible to ctest; detect_leaks stays on so
 # candidate buffers and solver scratch are leak-checked too.
@@ -36,3 +38,5 @@ ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/sparse_test"
 echo "sparse pipeline is clean under AddressSanitizer"
 ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/protocol_fuzz_test"
 echo "protocol decoders are clean under AddressSanitizer"
+ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/record_log_test"
+echo "record log replay is clean under AddressSanitizer"
