@@ -369,6 +369,16 @@ TEST_F(JobsTest, JournalDiskFullRefusesTheSubmitAsUnavailable) {
   EXPECT_TRUE(m->Submit("", "disk-full-spec", 2100).ok());
 }
 
+TEST_F(JobsTest, JournalReplayErrorFailsOpenOnly) {
+  ASSERT_TRUE(ActivateFailpoint("jobs.journal.replay.error", "once").ok());
+  JobManagerOptions options;
+  options.dir = dir_;
+  auto refused = JobManager::Open(options, 1000);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInternal);
+  EXPECT_TRUE(OpenManager()->Submit("", "after-replay-error", 2000).ok());
+}
+
 TEST_F(JobsTest, GcLeavesAnAllLiveJournalInPlace) {
   // Over 4 MB of journal in which every record is live: a size threshold
   // would rewrite it, the dead-share rule must not.
