@@ -45,17 +45,13 @@ Status SyncParentDir(const std::string& path) {
   std::string path_copy = path;  // dirname() may modify its argument.
   const std::string dir = dirname(path_copy.data());
   const int dfd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd < 0) {
-    return Status::Unavailable("cannot open directory " + dir +
-                               " for fsync: " + std::string(strerror(errno)));
-  }
-  if (fsync(dfd) != 0) {
-    const int err = errno;
-    close(dfd);
-    return Status::Unavailable("directory fsync failed: " +
+  const bool synced = dfd >= 0 && fsync(dfd) == 0;
+  const int err = errno;
+  if (dfd >= 0) close(dfd);
+  if (!synced) {
+    return Status::Unavailable("fsync of directory " + dir + " failed: " +
                                std::string(strerror(err)));
   }
-  close(dfd);
   return Status::Ok();
 }
 

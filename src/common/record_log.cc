@@ -26,18 +26,14 @@ Failpoint& Site(const RecordLog::Format& format, const char* suffix) {
 }
 
 // Frames one record onto *out.
-void AppendRecord(const RecordLog::Format& format,
-                  RecordLog::Payload payload, std::string* out) {
-  const uint32_t len =
-      static_cast<uint32_t>(payload.head.size() + payload.body.size());
-  const uint32_t crc = Crc32cFinish(Crc32cUpdate(
-      Crc32cUpdate(Crc32cInit(), payload.head.data(), payload.head.size()),
-      payload.body.data(), payload.body.size()));
+void AppendRecord(const RecordLog::Format& format, std::string_view payload,
+                  std::string* out) {
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  const uint32_t crc = Crc32c(payload);
   out->append(format.magic, kMagicBytes);
   out->append(reinterpret_cast<const char*>(&len), sizeof(len));
   out->append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  out->append(payload.head);
-  out->append(payload.body);
+  out->append(payload);
 }
 
 std::string Errno(const std::string& what) {
@@ -111,9 +107,9 @@ Result<std::unique_ptr<RecordLog>> RecordLog::Open(
   return log;
 }
 
-Status RecordLog::Append(Payload payload) {
+Status RecordLog::Append(std::string_view payload) {
   std::string record;
-  record.reserve(kHeaderBytes + payload.head.size() + payload.body.size());
+  record.reserve(kHeaderBytes + payload.size());
   AppendRecord(format_, payload, &record);
   std::lock_guard<std::mutex> lock(mu_);
   Status status = AppendLocked(record);
@@ -125,7 +121,7 @@ Status RecordLog::Append(Payload payload) {
   return status;
 }
 
-Status RecordLog::AppendLocked(const std::string& record) {
+Status RecordLog::AppendLocked(std::string_view record) {
   const size_t len = record.size() - kHeaderBytes;
   if (len < format_.min_payload || len > format_.max_payload) {
     return Status::InvalidArgument(path_ + ": bad record size " +
@@ -143,7 +139,7 @@ Status RecordLog::AppendLocked(const std::string& record) {
   if (Fires(append_torn_)) {
     // Dying mid-append: the header plus half the payload reach disk.
     const size_t torn = kHeaderBytes + len / 2;
-    (void)WriteAll(fd_, std::string_view(record).substr(0, torn));
+    (void)WriteAll(fd_, record.substr(0, torn));
     return Status::Unavailable(path_ + ": append torn (injected)");
   }
   if (!WriteAll(fd_, record)) {
@@ -168,15 +164,22 @@ bool RecordLog::CompactionDue(uint64_t live_records) const {
   return records_ > 2 * live_records;
 }
 
-Status RecordLog::Compact(const std::vector<Payload>& live) {
-  std::string fresh;
-  for (const Payload& payload : live) AppendRecord(format_, payload, &fresh);
+Status RecordLog::Compact(const std::vector<std::string>& live) {
   const std::string tmp = path_ + ".tmp";
   std::lock_guard<std::mutex> lock(mu_);
   const int tfd =
       open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_APPEND, 0644);
   if (tfd < 0) return Status::Unavailable(Errno("cannot create " + tmp));
-  if (!WriteAll(tfd, fresh) || fsync(tfd) != 0 ||
+  // One record at a time, so the rewrite never holds a second copy of the
+  // whole log in memory.
+  bool written = true;
+  std::string record;
+  for (size_t i = 0; written && i < live.size(); ++i) {
+    record.clear();
+    AppendRecord(format_, live[i], &record);
+    written = WriteAll(tfd, record);
+  }
+  if (!written || fsync(tfd) != 0 ||
       rename(tmp.c_str(), path_.c_str()) != 0) {
     const Status error =
         Status::Unavailable(Errno("compaction of " + path_ + " failed"));

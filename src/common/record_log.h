@@ -70,12 +70,6 @@ class RecordLog {
     uint64_t truncated_bytes = 0;  // Torn/corrupt tail bytes dropped.
   };
 
-  // One record's payload, written as `head` followed by `body`.
-  struct Payload {
-    std::string_view head;
-    std::string_view body = {};
-  };
-
   // Opens (creating if needed) `dir`/format.file_name, replays every good
   // record through `on_record`, truncates any torn tail, and returns a log
   // ready for appends. Fails only when the directory or file cannot be
@@ -93,7 +87,7 @@ class RecordLog {
   // Every failure is counted in append_errors and returned: kInvalidArgument
   // for a payload outside the bounds, kUnavailable for IO. The log stays
   // open for later appends.
-  Status Append(Payload payload);
+  Status Append(std::string_view payload);
 
   // fsyncs the log: the seal a graceful drain applies before exit.
   Status Sync();
@@ -104,7 +98,7 @@ class RecordLog {
 
   // Rewrites the log to hold exactly `live`, in order. On failure the old
   // log and fd keep working unchanged. Thread-safe against Append.
-  Status Compact(const std::vector<Payload>& live);
+  Status Compact(const std::vector<std::string>& live);
 
   // Current byte size of the log on disk (0 if it cannot be stat'ed).
   uint64_t log_bytes() const;
@@ -115,7 +109,7 @@ class RecordLog {
   RecordLog(const Format& format, std::string path, int fd);
 
   // Bounds-checks and writes one framed record; mu_ held.
-  Status AppendLocked(const std::string& record);
+  Status AppendLocked(std::string_view record);
 
   const Format format_;
   const std::string path_;

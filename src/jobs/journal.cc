@@ -24,11 +24,4 @@ Result<std::unique_ptr<JobJournal>> JobJournal::Open(
   return std::unique_ptr<JobJournal>(new JobJournal(std::move(log)));
 }
 
-Status JobJournal::Compact(const std::vector<std::string>& live) {
-  std::vector<RecordLog::Payload> payloads;
-  payloads.reserve(live.size());
-  for (const std::string& payload : live) payloads.push_back({payload});
-  return log_->Compact(payloads);
-}
-
 }  // namespace graphalign

@@ -45,7 +45,7 @@ class JobJournal {
 
   // Appends one record and fsyncs it. Thread-safe. An IO error or a full
   // disk is returned as kUnavailable and counted; the journal stays open.
-  Status Append(std::string_view payload) { return log_->Append({payload}); }
+  Status Append(std::string_view payload) { return log_->Append(payload); }
 
   // fsyncs the journal: a no-op after synced appends, kept as the explicit
   // seal for SIGTERM drain.
@@ -58,7 +58,9 @@ class JobJournal {
 
   // Rewrites the journal to hold exactly `live`, in order, published
   // atomically.
-  Status Compact(const std::vector<std::string>& live);
+  Status Compact(const std::vector<std::string>& live) {
+    return log_->Compact(live);
+  }
 
   uint64_t log_bytes() const { return log_->log_bytes(); }
   uint64_t append_errors() const { return log_->append_errors(); }

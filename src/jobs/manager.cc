@@ -162,14 +162,12 @@ Result<std::unique_ptr<JobManager>> JobManager::Open(
     return Status::InvalidArgument("job manager: directory is required");
   }
   std::unique_ptr<JobManager> mgr(new JobManager(options));
-  JobJournal::ReplayStats replay;
-  auto journal = JobJournal::Open(
-      options.dir,
-      [&mgr](std::string_view payload) { mgr->ApplyEvent(payload); },
-      &replay);
-  if (!journal.ok()) return journal.status();
-  mgr->journal_ = std::move(*journal);
-  mgr->replay_stats_ = replay;
+  GA_ASSIGN_OR_RETURN(
+      mgr->journal_,
+      JobJournal::Open(
+          options.dir,
+          [&mgr](std::string_view payload) { mgr->ApplyEvent(payload); },
+          &mgr->replay_stats_));
 
   // Recovery: re-enqueue interrupted work, journaling each decision so a
   // second crash replays the *recovered* state, not the original one.
@@ -436,7 +434,11 @@ Status JobManager::Gc(uint64_t now_ms) {
   };
   uint64_t live_records = 0;
   for (const auto& [id, rec] : jobs_) live_records += has_state(rec) ? 2 : 1;
-  if (!journal_->CompactionDue(live_records)) return Status::Ok();
+  // Expired jobs must leave the journal, or the next replay would serve
+  // them again; otherwise only a mostly-dead journal is rewritten.
+  if (expired == 0 && !journal_->CompactionDue(live_records)) {
+    return Status::Ok();
+  }
   std::vector<std::string> live;
   live.reserve(live_records);
   for (const auto& [id, rec] : jobs_) {

@@ -169,7 +169,8 @@ class JobManager {
   Result<JobRecord> Cancel(uint64_t job_id, uint64_t now_ms);
 
   // Expires terminal jobs older than ttl_seconds, then compacts the journal
-  // when more than half its records are dead (RecordLog::CompactionDue).
+  // when any job expired or more than half its records are dead
+  // (RecordLog::CompactionDue).
   Status Gc(uint64_t now_ms);
 
   // fsyncs the journal: the explicit seal for SIGTERM drain.

@@ -18,8 +18,13 @@ constexpr RecordLog::Format kCacheLog = {
     .sync_appends = false,
 };
 
-std::string_view KeyBytes(const uint64_t& key) {
-  return {reinterpret_cast<const char*>(&key), sizeof(key)};
+// A record's payload: the key's bytes followed by the value.
+std::string KeyedPayload(uint64_t key, const std::string& value) {
+  std::string payload;
+  payload.reserve(sizeof(key) + value.size());
+  payload.append(reinterpret_cast<const char*>(&key), sizeof(key));
+  payload.append(value);
+  return payload;
 }
 
 }  // namespace
@@ -44,15 +49,15 @@ Result<std::unique_ptr<CacheStore>> CacheStore::Open(
 }
 
 void CacheStore::Append(uint64_t key, const std::string& value) {
-  (void)log_->Append({KeyBytes(key), value});
+  (void)log_->Append(KeyedPayload(key, value));
 }
 
 Status CacheStore::Compact(
     const std::vector<std::pair<uint64_t, std::string>>& live) {
-  std::vector<RecordLog::Payload> payloads;
+  std::vector<std::string> payloads;
   payloads.reserve(live.size());
   for (const auto& [key, value] : live) {
-    payloads.push_back({KeyBytes(key), value});
+    payloads.push_back(KeyedPayload(key, value));
   }
   return log_->Compact(payloads);
 }

@@ -633,7 +633,7 @@ class Server::Impl {
       }
       // Piggyback periodic job GC on the watchdog cadence (~every 60s of
       // 200ms scans): expire terminal jobs past their TTL and compact the
-      // journal once more than half of it is dead.
+      // journal once a job expired or more than half of it is dead.
       if (jobs_ != nullptr && ++job_gc_ticks_ >= 300) {
         job_gc_ticks_ = 0;
         Status gc = jobs_->Gc(UnixMs());

@@ -8,6 +8,7 @@
 
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -952,6 +953,74 @@ TEST_F(DurableServerTest, AppendFaultDegradesDurabilityNotService) {
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   ASSERT_EQ(warm->code, ResponseCode::kOk);
   EXPECT_TRUE(warm->cache_hit);
+}
+
+TEST_F(DurableServerTest, StartupCompactionDropsDeadRecordsAndStaysWarm) {
+  ServerOptions opts;
+  opts.socket_path = TempSocketPath("compact1");
+  opts.workers = 2;
+  opts.wall_slack_seconds = 10.0;
+  opts.cache_dir = cache_dir_;
+  StartServer(opts);
+  const std::vector<std::pair<Graph, Graph>> pairs = {
+      {SmallGraph(131), SmallGraph(132)}, {SmallGraph(133), SmallGraph(134)}};
+  {
+    auto client = Connect();
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    for (const auto& [g1, g2] : pairs) {
+      auto cold = client->Call(AlignRequest(g1, g2, "NSD"));
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      ASSERT_EQ(cold->code, ResponseCode::kOk) << cold->message;
+    }
+  }
+  StopServer();
+
+  // Make the log mostly dead: three superseded values per key, each
+  // followed by the entry's real value again, which wins at replay.
+  {
+    std::vector<std::pair<uint64_t, std::string>> entries;
+    auto store = CacheStore::Open(
+        cache_dir_,
+        [&entries](uint64_t key, std::string value) {
+          entries.push_back({key, std::move(value)});
+        });
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_EQ(entries.size(), pairs.size());
+    for (const auto& [key, value] : entries) {
+      for (int i = 0; i < 3; ++i) (*store)->Append(key, "superseded");
+      (*store)->Append(key, value);
+    }
+    ASSERT_TRUE((*store)->Sync().ok());
+  }
+  auto log_size = [this] {
+    struct stat st;
+    return ::stat((cache_dir_ + "/cache.log").c_str(), &st) == 0
+               ? static_cast<uint64_t>(st.st_size)
+               : 0;
+  };
+  const uint64_t dead_bytes = log_size();
+
+  // 10 records, 2 resident entries: the restart rewrites the log.
+  opts.socket_path = TempSocketPath("compact2");
+  StartServer(opts);
+  EXPECT_EQ(server_->stats().cache_replayed, 5 * pairs.size());
+  const uint64_t compacted_bytes = log_size();
+  EXPECT_LT(compacted_bytes, dead_bytes);
+  StopServer();
+
+  // The compacted log replays every entry, and each is a cache hit.
+  opts.socket_path = TempSocketPath("compact3");
+  StartServer(opts);
+  EXPECT_EQ(server_->stats().cache_replayed, pairs.size());
+  EXPECT_EQ(log_size(), compacted_bytes);
+  auto client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  for (const auto& [g1, g2] : pairs) {
+    auto warm = client->Call(AlignRequest(g1, g2, "NSD"));
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    ASSERT_EQ(warm->code, ResponseCode::kOk) << warm->message;
+    EXPECT_TRUE(warm->cache_hit);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -396,6 +396,40 @@ TEST_F(JobsTest, GcLeavesAnAllLiveJournalInPlace) {
   EXPECT_EQ(after.st_size, before.st_size);
 }
 
+TEST_F(JobsTest, GcRemovesExpiredJobsFromAMostlyLiveJournal) {
+  // Ten DONE jobs, three records each; two expire. The 16 live records are
+  // over half of the 30, so only the expiry itself can force the rewrite.
+  auto m = OpenManager(/*max_attempts=*/3, /*ttl_seconds=*/5);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(m->Submit("key-" + std::to_string(i),
+                          "spec-" + std::to_string(i), 2000)
+                    .ok());
+  }
+  std::vector<uint64_t> expired, kept;
+  for (int i = 0; i < 10; ++i) {
+    JobRecord claimed;
+    std::shared_ptr<std::atomic<bool>> cancel;
+    ASSERT_TRUE(m->ClaimNext(&claimed, &cancel));
+    const uint64_t done_ms = i < 2 ? 3000 : 9000;
+    ASSERT_TRUE(m->CompleteDone(claimed.job_id, "result", done_ms).ok());
+    (i < 2 ? expired : kept).push_back(claimed.job_id);
+  }
+  ASSERT_TRUE(m->Gc(9000).ok());
+  EXPECT_EQ(m->Stats().gced, 2u);
+  m.reset();
+
+  // A restart with the default TTL must not bring the expired jobs back.
+  auto m2 = OpenManager();
+  for (uint64_t id : expired) {
+    EXPECT_EQ(m2->Get(id).status().code(), StatusCode::kNotFound);
+  }
+  for (uint64_t id : kept) EXPECT_TRUE(m2->Get(id).ok());
+  // Nor rebind their idempotency keys.
+  auto resub = m2->Submit("key-0", "fresh-spec", 10000);
+  ASSERT_TRUE(resub.ok());
+  EXPECT_FALSE(resub->existing);
+}
+
 TEST_F(JobsTest, ContentIdIsStableAndNonZero) {
   EXPECT_EQ(JobContentId("abc"), JobContentId("abc"));
   EXPECT_NE(JobContentId("abc"), JobContentId("abd"));

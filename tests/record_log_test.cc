@@ -77,11 +77,11 @@ TEST_F(RecordLogTest, OversizePayloadIsRefusedAndLaterRecordsReplay) {
     std::vector<std::string> seen;
     auto log = OpenCollecting(&seen);
     ASSERT_NE(log, nullptr);
-    EXPECT_EQ(log->Append({std::string(65, 'x')}).code(),
+    EXPECT_EQ(log->Append(std::string(65, 'x')).code(),
               StatusCode::kInvalidArgument);
-    EXPECT_EQ(log->Append({std::string_view()}).code(),
+    EXPECT_EQ(log->Append(std::string_view()).code(),
               StatusCode::kInvalidArgument);
-    ASSERT_TRUE(log->Append({"after", "-oversize"}).ok());
+    ASSERT_TRUE(log->Append("after-oversize").ok());
     EXPECT_EQ(log->append_errors(), 2u);
   }
   std::vector<std::string> seen;
@@ -99,11 +99,11 @@ TEST_F(RecordLogTest, CompactionIsDueWhenMoreThanHalfIsDead) {
   auto log = OpenCollecting(&seen);
   ASSERT_NE(log, nullptr);
   for (const char* p : {"one", "two", "three"}) {
-    ASSERT_TRUE(log->Append({p}).ok());
+    ASSERT_TRUE(log->Append(p).ok());
   }
   EXPECT_TRUE(log->CompactionDue(1));   // 2 of 3 dead.
   EXPECT_FALSE(log->CompactionDue(2));  // 1 of 3 dead.
-  ASSERT_TRUE(log->Compact({{"three"}}).ok());
+  ASSERT_TRUE(log->Compact({"three"}).ok());
   EXPECT_FALSE(log->CompactionDue(1));  // The rewrite counts as all live.
   log.reset();
 
@@ -112,8 +112,8 @@ TEST_F(RecordLogTest, CompactionIsDueWhenMoreThanHalfIsDead) {
   seen.clear();
   log = OpenCollecting(&seen, &stats);
   ASSERT_NE(log, nullptr);
-  ASSERT_TRUE(log->Append({"four"}).ok());
-  ASSERT_TRUE(log->Append({"five"}).ok());
+  ASSERT_TRUE(log->Append("four").ok());
+  ASSERT_TRUE(log->Append("five").ok());
   EXPECT_EQ(stats.replayed, 1u);
   EXPECT_TRUE(log->CompactionDue(1));
   EXPECT_FALSE(log->CompactionDue(2));
@@ -124,11 +124,11 @@ TEST_F(RecordLogTest, FailpointsAreNamedFromThePrefix) {
   auto log = OpenCollecting(&seen);
   ASSERT_NE(log, nullptr);
   ASSERT_TRUE(ActivateFailpoint("test.record_log.append.error", "once").ok());
-  EXPECT_EQ(log->Append({"dropped"}).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(log->Append("dropped").code(), StatusCode::kUnavailable);
   ASSERT_TRUE(ActivateFailpoint("test.record_log.append.enospc", "once").ok());
-  EXPECT_EQ(log->Append({"full"}).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(log->Append("full").code(), StatusCode::kUnavailable);
   ASSERT_TRUE(ActivateFailpoint("test.record_log.append.torn", "once").ok());
-  EXPECT_EQ(log->Append({"torn-record"}).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(log->Append("torn-record").code(), StatusCode::kUnavailable);
   EXPECT_EQ(log->append_errors(), 3u);
   log.reset();
 
@@ -150,7 +150,7 @@ TEST_F(RecordLogTest, ReplayFuzzTruncationsAndBitFlips) {
     std::vector<std::string> seen;
     auto log = OpenCollecting(&seen);
     ASSERT_NE(log, nullptr);
-    for (const std::string& p : written) ASSERT_TRUE(log->Append({p}).ok());
+    for (const std::string& p : written) ASSERT_TRUE(log->Append(p).ok());
   }
   const std::string golden = ReadLog();
 
@@ -166,7 +166,7 @@ TEST_F(RecordLogTest, ReplayFuzzTruncationsAndBitFlips) {
       ASSERT_LT(next, written.size()) << "replayed a record never written";
       ++next;
     }
-    ASSERT_TRUE(log->Append({"appended"}).ok());
+    ASSERT_TRUE(log->Append("appended").ok());
     log.reset();
     seen.clear();
     log = OpenCollecting(&seen);
