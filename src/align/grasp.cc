@@ -46,23 +46,33 @@ Result<SymmetricEigenResult> LaplacianEigs(const Graph& g, int k,
 }
 
 // Heat-kernel diagonals: F(v, s) = sum_j exp(-t_s lambda_j) phi_j(v)^2.
+// The weights w(s, j) are computed once; each F(v, s) then sums along
+// eigenvector row v, in ascending j as before, so the bytes do not depend on
+// the loop order or on how rows are split across threads.
 DenseMatrix HeatKernelDiagonals(const SymmetricEigenResult& eig,
                                 const std::vector<double>& times) {
   const int n = eig.eigenvectors.rows();
   const int k = static_cast<int>(eig.eigenvalues.size());
   const int q = static_cast<int>(times.size());
+  DenseMatrix w(q, k);
+  for (int s = 0; s < q; ++s) {
+    for (int j = 0; j < k; ++j) {
+      w(s, j) = std::exp(-times[s] * eig.eigenvalues[j]);
+    }
+  }
   DenseMatrix f(n, q);
-  ParallelFor(q, [&](int64_t lo, int64_t hi) {
-    for (int s = static_cast<int>(lo); s < hi; ++s) {
-      for (int j = 0; j < k; ++j) {
-        const double w = std::exp(-times[s] * eig.eigenvalues[j]);
-        for (int v = 0; v < n; ++v) {
-          const double phi = eig.eigenvectors(v, j);
-          f(v, s) += w * phi * phi;
-        }
+  ParallelFor(n, [&](int64_t lo, int64_t hi) {
+    for (int v = static_cast<int>(lo); v < hi; ++v) {
+      const double* phi = eig.eigenvectors.Row(v);
+      double* fv = f.Row(v);
+      for (int s = 0; s < q; ++s) {
+        const double* ws = w.Row(s);
+        double acc = 0.0;
+        for (int j = 0; j < k; ++j) acc += ws[j] * phi[j] * phi[j];
+        fv[s] = acc;
       }
     }
-  }, std::max<int64_t>(2, 500'000 / (static_cast<int64_t>(n) * k + 1)));
+  }, std::max<int64_t>(2, 500'000 / (static_cast<int64_t>(q) * k + 1)));
   return f;
 }
 

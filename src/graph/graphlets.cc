@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <numeric>
@@ -221,8 +222,9 @@ class Esu {
         max_subgraphs_(max_subgraphs),
         orbits_(orbits),
         blocked_(g.num_nodes(), false),
-        // Emit costs O(size^2) adjacency probes; a 4096-emit stride keeps
-        // the clock entirely out of the enumeration profile.
+        near_(g.num_nodes(), 0),
+        // Emit costs O(size^2) bit tests; a 4096-emit stride keeps the
+        // clock entirely out of the enumeration profile.
         checker_(deadline, /*stride=*/4096) {}
 
   Status Run() {
@@ -233,6 +235,7 @@ class Esu {
       std::vector<int> ext;
       std::vector<int> newly_blocked;
       for (int u : g_.Neighbors(v)) {
+        near_[u] |= 1;
         if (u > v) {
           ext.push_back(u);
           blocked_[u] = true;
@@ -241,6 +244,7 @@ class Esu {
       }
       GA_RETURN_IF_ERROR(Extend(1, v, ext));
       blocked_[v] = false;
+      for (int u : g_.Neighbors(v)) near_[u] &= ~1;
       for (int u : newly_blocked) blocked_[u] = false;
     }
     return Status::Ok();
@@ -260,7 +264,9 @@ class Esu {
       // Extension set: remaining candidates + exclusive neighbors of w.
       std::vector<int> next_ext = ext;
       std::vector<int> newly_blocked;
+      const uint8_t bit = static_cast<uint8_t>(1 << depth);
       for (int u : g_.Neighbors(w)) {
+        near_[u] |= bit;
         if (u > root && !blocked_[u]) {
           next_ext.push_back(u);
           blocked_[u] = true;
@@ -268,10 +274,15 @@ class Esu {
         }
       }
       GA_RETURN_IF_ERROR(Extend(depth + 1, root, std::move(next_ext)));
+      for (int u : g_.Neighbors(w)) near_[u] &= ~bit;
       for (int u : newly_blocked) blocked_[u] = false;
     }
     return Status::Ok();
   }
+
+  // Whether sub_[i] and sub_[j] are adjacent, for i < j: sub_[i] sits at
+  // depth i < size - 1, whose neighbour scan set bit i of near_[sub_[j]].
+  bool Adjacent(int i, int j) const { return (near_[sub_[j]] >> i) & 1; }
 
   Status Emit() {
     // Two budget arms, both checked here: an exact cap on enumerated
@@ -286,7 +297,7 @@ class Esu {
       int edges = 0;
       for (int i = 0; i < 4; ++i) {
         for (int j = i + 1; j < 4; ++j) {
-          if (g_.HasEdge(sub_[i], sub_[j])) {
+          if (Adjacent(i, j)) {
             ++edges;
             ++deg[i];
             ++deg[j];
@@ -298,7 +309,7 @@ class Esu {
       int mask = 0;
       for (int i = 0; i < 5; ++i) {
         for (int j = i + 1; j < 5; ++j) {
-          if (g_.HasEdge(sub_[i], sub_[j])) mask |= 1 << kPairBit[i][j];
+          if (Adjacent(i, j)) mask |= 1 << kPairBit[i][j];
         }
       }
       const auto& row = GetOrbit5Table().table[mask];
@@ -315,6 +326,10 @@ class Esu {
   DenseMatrix* orbits_;
   std::array<int, 5> sub_ = {0, 0, 0, 0, 0};
   std::vector<bool> blocked_;  // In subgraph or already a known neighbor.
+  // Bit d of near_[u]: u is adjacent to sub_[d]. Set by the neighbour scans
+  // at depths 0..size-2 and cleared on backtrack, so Emit reads the induced
+  // adjacency without a single edge lookup, in O(n) memory.
+  std::vector<uint8_t> near_;
   DeadlineChecker checker_;
   int64_t count_ = 0;
 };

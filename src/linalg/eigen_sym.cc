@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/failpoint.h"
 #include "common/random.h"
@@ -15,6 +16,10 @@ namespace {
 // On exit `a` holds the accumulated orthogonal transform Q, `d` the diagonal
 // and `e` the subdiagonal (e[0] unused). The deadline is polled between
 // Householder columns (each column costs O(n^2)).
+//
+// The EISPACK loops walk `a` down its columns; here every O(n^2) pass sweeps
+// rows instead. Each accumulator still adds the same terms in the same
+// ascending order, so the result is bit-identical (DESIGN.md §7).
 Status Tred2(DenseMatrix* a_io, const Deadline& deadline,
              std::vector<double>* d_out, std::vector<double>* e_out) {
   DenseMatrix& a = *a_io;
@@ -28,71 +33,108 @@ Status Tred2(DenseMatrix* a_io, const Deadline& deadline,
   for (int i = n - 1; i >= 1; --i) {
     GA_RETURN_IF_EXPIRED(checker, "SymmetricEigen");
     const int l = i - 1;
+    double* ai = a.Row(i);
     double h = 0.0;
     double scale = 0.0;
     if (l > 0) {
-      for (int k = 0; k <= l; ++k) scale += std::fabs(a(i, k));
+      for (int k = 0; k <= l; ++k) scale += std::fabs(ai[k]);
       if (scale == 0.0) {
-        e[i] = a(i, l);
+        e[i] = ai[l];
       } else {
         for (int k = 0; k <= l; ++k) {
-          a(i, k) /= scale;
-          h += a(i, k) * a(i, k);
+          ai[k] /= scale;
+          h += ai[k] * ai[k];
         }
-        double f = a(i, l);
+        double f = ai[l];
         double g = f >= 0.0 ? -std::sqrt(h) : std::sqrt(h);
         e[i] = scale * g;
         h -= f * g;
-        a(i, l) = f - g;
+        ai[l] = f - g;
+        // e[j] accumulates g_j = sum_k a(j, k) a(i, k) over the lower
+        // triangle: first the row part (k <= j), then the column part
+        // (k > j) as row sweeps, so each g_j still sums in ascending k.
+        for (int j = 0; j <= l; ++j) {
+          const double* aj = a.Row(j);
+          g = 0.0;
+          for (int k = 0; k <= j; ++k) g += aj[k] * ai[k];
+          e[j] = g;
+        }
+        for (int k = 1; k <= l; ++k) {
+          const double* ak = a.Row(k);
+          const double aik = ai[k];
+          for (int j = 0; j < k; ++j) e[j] += ak[j] * aik;
+        }
         f = 0.0;
         for (int j = 0; j <= l; ++j) {
-          a(j, i) = a(i, j) / h;
-          g = 0.0;
-          for (int k = 0; k <= j; ++k) g += a(j, k) * a(i, k);
-          for (int k = j + 1; k <= l; ++k) g += a(k, j) * a(i, k);
-          e[j] = g / h;
-          f += e[j] * a(i, j);
+          a(j, i) = ai[j] / h;
+          e[j] /= h;
+          f += e[j] * ai[j];
         }
         const double hh = f / (h + h);
         for (int j = 0; j <= l; ++j) {
-          f = a(i, j);
+          double* aj = a.Row(j);
+          f = ai[j];
           e[j] = g = e[j] - hh * f;
           for (int k = 0; k <= j; ++k) {
-            a(j, k) -= f * e[k] + g * a(i, k);
+            aj[k] -= f * e[k] + g * ai[k];
           }
         }
       }
     } else {
-      e[i] = a(i, l);
+      e[i] = ai[l];
     }
     d[i] = h;
   }
   d[0] = 0.0;
   e[0] = 0.0;
+  // Back-accumulation of Q: one row sweep fills g_j = sum_k a(i, k) a(k, j)
+  // for every j <= l, a second applies a(k, j) -= g_j a(k, i). Neither
+  // touches row or column i, so filling every g_j first changes no value.
+  std::vector<double> g(n);
   for (int i = 0; i < n; ++i) {
     GA_RETURN_IF_EXPIRED(checker, "SymmetricEigen");
     const int l = i - 1;
+    double* ai = a.Row(i);
     if (d[i] != 0.0) {
-      for (int j = 0; j <= l; ++j) {
-        double g = 0.0;
-        for (int k = 0; k <= l; ++k) g += a(i, k) * a(k, j);
-        for (int k = 0; k <= l; ++k) a(k, j) -= g * a(k, i);
+      std::fill(g.begin(), g.begin() + i, 0.0);
+      for (int k = 0; k <= l; ++k) {
+        const double* ak = a.Row(k);
+        const double aik = ai[k];
+        for (int j = 0; j <= l; ++j) g[j] += aik * ak[j];
+      }
+      for (int k = 0; k <= l; ++k) {
+        double* ak = a.Row(k);
+        const double aki = ak[i];
+        for (int j = 0; j <= l; ++j) ak[j] -= g[j] * aki;
       }
     }
-    d[i] = a(i, i);
-    a(i, i) = 1.0;
-    for (int j = 0; j <= l; ++j) a(j, i) = a(i, j) = 0.0;
+    d[i] = ai[i];
+    ai[i] = 1.0;
+    for (int j = 0; j <= l; ++j) a(j, i) = ai[j] = 0.0;
   }
   return Status::Ok();
 }
 
+// Transposes square `m` in place.
+void TransposeSquare(DenseMatrix* m) {
+  const int n = m->rows();
+  for (int r = 0; r < n; ++r) {
+    double* row = m->Row(r);
+    for (int c = r + 1; c < n; ++c) std::swap(row[c], (*m)(c, r));
+  }
+}
+
 // Implicit-shift QL on a tridiagonal matrix; `z` accumulates eigenvectors
-// (initialized to the transform from Tred2, or identity).
+// (initialized to the transform from Tred2, or identity). Every Givens
+// rotation mixes two columns of Z, so they are rotated as two contiguous rows
+// of Z^T: `z` is transposed on entry and back on success (on failure the
+// caller discards it).
 Status Tql2(std::vector<double>* d_io, std::vector<double>* e_io,
             const Deadline& deadline, DenseMatrix* z_io) {
   std::vector<double>& d = *d_io;
   std::vector<double>& e = *e_io;
-  DenseMatrix& z = *z_io;
+  DenseMatrix& zt = *z_io;
+  TransposeSquare(&zt);
   const int n = static_cast<int>(d.size());
 
   for (int i = 1; i < n; ++i) e[i - 1] = e[i];
@@ -138,10 +180,12 @@ Status Tql2(std::vector<double>* d_io, std::vector<double>* e_io,
           p = s * r;
           d[i + 1] = g + p;
           g = c * r - b;
+          double* zi = zt.Row(i);
+          double* zi1 = zt.Row(i + 1);
           for (int k = 0; k < n; ++k) {
-            f = z(k, i + 1);
-            z(k, i + 1) = s * z(k, i) + c * f;
-            z(k, i) = c * z(k, i) - s * f;
+            f = zi1[k];
+            zi1[k] = s * zi[k] + c * f;
+            zi[k] = c * zi[k] - s * f;
           }
         }
         if (r == 0.0 && i >= l) continue;
@@ -151,6 +195,7 @@ Status Tql2(std::vector<double>* d_io, std::vector<double>* e_io,
       }
     } while (m != l);
   }
+  TransposeSquare(&zt);
   return Status::Ok();
 }
 
