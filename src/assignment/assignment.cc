@@ -1,6 +1,7 @@
 #include "assignment/assignment.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "common/failpoint.h"
@@ -77,6 +78,16 @@ Result<Alignment> ExtractAlignment(const DenseMatrix& similarity,
       "assignment.extract.error",
       Status::Numerical("ExtractAlignment: solver failed on degenerate "
                         "similarity"));
+  // A NaN or +inf row leaves the LAP solvers without a finite reduced cost
+  // to augment along (Hungarian then indexes p[-1]); the robust pipeline
+  // sanitizes first, every other caller gets a typed refusal.
+  const double* data = similarity.data();
+  for (size_t i = 0; i < similarity.size(); ++i) {
+    if (!std::isfinite(data[i])) {
+      return Status::InvalidArgument(
+          "ExtractAlignment: non-finite similarity");
+    }
+  }
   switch (method) {
     case AssignmentMethod::kNearestNeighbor:
       return NearestNeighborAssign(similarity, deadline);

@@ -1,7 +1,9 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -176,6 +178,34 @@ TEST(LapSolversTest, IdentityOnDiagonalDominantMatrix) {
     auto a = ExtractAlignment(sim, method);
     ASSERT_TRUE(a.ok());
     for (int i = 0; i < n; ++i) EXPECT_EQ((*a)[i], i);
+  }
+}
+
+TEST(LapSolversTest, NonFiniteSimilarityIsRefusedByEveryMethod) {
+  // An all-NaN row used to leave Hungarian's augmenting column at -1 and
+  // read p[-1] (a heap overflow under ASan); one +inf or -inf entry is
+  // refused the same way, before any solver runs.
+  const int n = 40;
+  const double poisons[] = {std::nan(""),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()};
+  for (double poison : poisons) {
+    DenseMatrix all(n, n, poison);
+    DenseMatrix one(n, n, 0.5);
+    one(n / 2, n / 3) = poison;
+    for (const DenseMatrix* sim : {&all, &one}) {
+      for (auto method : {AssignmentMethod::kNearestNeighbor,
+                          AssignmentMethod::kSortGreedy,
+                          AssignmentMethod::kHungarian,
+                          AssignmentMethod::kJonkerVolgenant}) {
+        auto a = ExtractAlignment(*sim, method);
+        ASSERT_FALSE(a.ok()) << AssignmentMethodName(method);
+        EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_NE(a.status().message().find("non-finite similarity"),
+                  std::string::npos)
+            << a.status().ToString();
+      }
+    }
   }
 }
 
