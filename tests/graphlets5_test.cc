@@ -2,6 +2,7 @@
 // graphlet degree vector used by GRAAL's published signature.
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -178,6 +179,128 @@ TEST(GraalFullGdvTest, OptionProducesValidAlignment) {
   int correct = 0;
   for (int u = 0; u < 50; ++u) correct += ((*align)[u] == perm[u]);
   EXPECT_GE(correct, 45);  // Near-perfect on isomorphic graphs.
+}
+
+// ---------------------------------------------------------------------------
+// Brute-force oracle: every 2-, 3-, 4- and 5-node subset of small random
+// graphs, classified here from induced degrees and edge counts alone, must
+// reproduce the enumerator's exact per-node counts.
+
+// Induced degrees of `nodes` within g, and whether the induced subgraph is
+// connected.
+struct Induced {
+  std::vector<int> deg;
+  int edges = 0;
+  bool connected = false;
+};
+
+Induced InduceOn(const Graph& g, const std::vector<int>& nodes) {
+  const int k = static_cast<int>(nodes.size());
+  Induced out;
+  out.deg.assign(k, 0);
+  std::vector<std::vector<bool>> adj(k, std::vector<bool>(k, false));
+  for (int a = 0; a < k; ++a) {
+    for (int b = a + 1; b < k; ++b) {
+      if (g.HasEdge(nodes[a], nodes[b])) {
+        adj[a][b] = adj[b][a] = true;
+        ++out.deg[a];
+        ++out.deg[b];
+        ++out.edges;
+      }
+    }
+  }
+  std::vector<bool> seen(k, false);
+  std::vector<int> stack = {0};
+  seen[0] = true;
+  int reached = 1;
+  while (!stack.empty()) {
+    const int a = stack.back();
+    stack.pop_back();
+    for (int b = 0; b < k; ++b) {
+      if (adj[a][b] && !seen[b]) {
+        seen[b] = true;
+        ++reached;
+        stack.push_back(b);
+      }
+    }
+  }
+  out.connected = reached == k;
+  return out;
+}
+
+// Orbit (0-14) of position i of a connected induced subgraph on 2-4 nodes.
+int OracleOrbit(const Induced& s, int i) {
+  const int k = static_cast<int>(s.deg.size());
+  const int d = s.deg[i];
+  const int max_deg = *std::max_element(s.deg.begin(), s.deg.end());
+  if (k == 2) return 0;
+  if (k == 3) return s.edges == 3 ? 3 : (d == 2 ? 2 : 1);
+  switch (s.edges) {
+    case 3:
+      if (max_deg == 3) return d == 3 ? 7 : 6;  // Claw.
+      return d == 1 ? 4 : 5;                    // Path P4.
+    case 4:
+      if (max_deg == 2) return 8;               // Cycle C4.
+      return d == 1 ? 9 : (d == 2 ? 10 : 11);   // Paw.
+    case 5:
+      return d == 2 ? 12 : 13;                  // Diamond.
+    default:
+      return 14;                                // K4.
+  }
+}
+
+// Calls fn(subset) for every k-subset of {0..n-1}, in lexicographic order.
+template <typename Fn>
+void ForEachSubset(int n, int k, Fn fn) {
+  std::vector<int> idx(k);
+  std::iota(idx.begin(), idx.end(), 0);
+  while (true) {
+    fn(idx);
+    int i = k - 1;
+    while (i >= 0 && idx[i] == n - k + i) --i;
+    if (i < 0) return;
+    ++idx[i];
+    for (int j = i + 1; j < k; ++j) idx[j] = idx[j - 1] + 1;
+  }
+}
+
+TEST(GraphletOracleTest, ExactCountsMatchBruteForceOnRandomGraphs) {
+  Rng rng(4242);
+  int graphs = 0;
+  for (int n = 9; n <= 14; ++n) {
+    for (double p : {0.25, 0.45, 0.7}) {
+      auto g = ErdosRenyi(n, p, &rng);
+      ASSERT_TRUE(g.ok());
+      ++graphs;
+      DenseMatrix expect4(n, kNumOrbits);
+      for (int k = 2; k <= 4; ++k) {
+        ForEachSubset(n, k, [&](const std::vector<int>& nodes) {
+          const Induced s = InduceOn(*g, nodes);
+          if (!s.connected) return;
+          for (int i = 0; i < k; ++i) {
+            expect4(nodes[i], OracleOrbit(s, i)) += 1.0;
+          }
+        });
+      }
+      std::vector<double> expect5(n, 0.0);
+      ForEachSubset(n, 5, [&](const std::vector<int>& nodes) {
+        if (!InduceOn(*g, nodes).connected) return;
+        for (int v : nodes) expect5[v] += 1.0;
+      });
+
+      auto four = CountGraphletOrbits(*g);
+      ASSERT_TRUE(four.ok());
+      EXPECT_EQ(*four, expect4) << "n=" << n << " p=" << p;
+      auto five = CountGraphletOrbits5(*g);
+      ASSERT_TRUE(five.ok());
+      for (int v = 0; v < n; ++v) {
+        double row = 0.0;
+        for (int o = 0; o < kNumOrbits5; ++o) row += (*five)(v, o);
+        EXPECT_EQ(row, expect5[v]) << "n=" << n << " p=" << p << " v=" << v;
+      }
+    }
+  }
+  EXPECT_EQ(graphs, 18);
 }
 
 }  // namespace
