@@ -199,7 +199,8 @@ TEST(LapSolversTest, NonFiniteSimilarityIsRefusedByEveryMethod) {
                           AssignmentMethod::kHungarian,
                           AssignmentMethod::kJonkerVolgenant}) {
         auto a = ExtractAlignment(*sim, method);
-        ASSERT_FALSE(a.ok()) << AssignmentMethodName(method);
+        EXPECT_FALSE(a.ok()) << AssignmentMethodName(method);
+        if (a.ok()) continue;
         EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument);
         EXPECT_NE(a.status().message().find("non-finite similarity"),
                   std::string::npos)
