@@ -47,8 +47,8 @@ Result<SymmetricEigenResult> LaplacianEigs(const Graph& g, int k,
 
 // Heat-kernel diagonals: F(v, s) = sum_j exp(-t_s lambda_j) phi_j(v)^2.
 // The weights w(s, j) are computed once; each F(v, s) then sums along
-// eigenvector row v, in ascending j as before, so the bytes do not depend on
-// the loop order or on how rows are split across threads.
+// eigenvector row v in ascending j, so its bytes depend neither on the loop
+// order nor on how rows are split across threads.
 DenseMatrix HeatKernelDiagonals(const SymmetricEigenResult& eig,
                                 const std::vector<double>& times) {
   const int n = eig.eigenvectors.rows();

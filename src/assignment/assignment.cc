@@ -78,9 +78,9 @@ Result<Alignment> ExtractAlignment(const DenseMatrix& similarity,
       "assignment.extract.error",
       Status::Numerical("ExtractAlignment: solver failed on degenerate "
                         "similarity"));
-  // A NaN or +inf row leaves the LAP solvers without a finite reduced cost
-  // to augment along (Hungarian then indexes p[-1]); the robust pipeline
-  // sanitizes first, every other caller gets a typed refusal.
+  // A row without a finite reduced cost leaves the LAP solvers no column to
+  // augment along (Hungarian would index p[-1]). The robust pipeline
+  // sanitizes first; every other caller gets a typed refusal.
   const double* data = similarity.data();
   for (size_t i = 0; i < similarity.size(); ++i) {
     if (!std::isfinite(data[i])) {
