@@ -124,28 +124,7 @@ Result<DenseMatrix> ConeAligner::AlignedEmbeddings(const Graph& g1,
         double na = 0.0;
         for (int j = 0; j < d; ++j) na += a[j] * a[j];
         double* crow = cost.Row(u);
-        // Four columns per pass over `a`, each with its own accumulator
-        // summing in ascending j: the same bytes as one dot at a time,
-        // without every add waiting on the previous one.
-        int v = 0;
-        for (; v + 4 <= n2; v += 4) {
-          const double* b0 = y2.Row(v);
-          const double* b1 = y2.Row(v + 1);
-          const double* b2 = y2.Row(v + 2);
-          const double* b3 = y2.Row(v + 3);
-          double dot0 = 0.0, dot1 = 0.0, dot2 = 0.0, dot3 = 0.0;
-          for (int j = 0; j < d; ++j) {
-            dot0 += a[j] * b0[j];
-            dot1 += a[j] * b1[j];
-            dot2 += a[j] * b2[j];
-            dot3 += a[j] * b3[j];
-          }
-          crow[v] = na + norm2[v] - 2.0 * dot0;
-          crow[v + 1] = na + norm2[v + 1] - 2.0 * dot1;
-          crow[v + 2] = na + norm2[v + 2] - 2.0 * dot2;
-          crow[v + 3] = na + norm2[v + 3] - 2.0 * dot3;
-        }
-        for (; v < n2; ++v) {
+        for (int v = 0; v < n2; ++v) {
           const double* b = y2.Row(v);
           double dot = 0.0;
           for (int j = 0; j < d; ++j) dot += a[j] * b[j];

@@ -5,11 +5,10 @@ usage:
   build/bench/bench_micro_kernels --benchmark_format=json \\
       --benchmark_repetitions=3 > run.json
   tools/bench_kernels_diff.py run.json [--baseline BENCH_kernels.json]
-                              [--threshold 0.10]
   tools/bench_kernels_diff.py run.json --row LABEL
 
 The first form prints, per kernel, the ns/op of the last row of the baseline
-file and of the run, and flags every kernel more than --threshold slower;
+file and of the run, and flags every kernel more than 10 % slower;
 it exits 1 if any kernel is flagged. The second form prints the run reduced
 to one trajectory row ({"rev": LABEL, "ns_per_op": {...}}) for appending to
 BENCH_kernels.json. With repetitions, a kernel's ns/op is the fastest
@@ -21,6 +20,7 @@ import json
 import sys
 
 NS_PER = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+THRESHOLD = 0.10  # A kernel this much slower than the baseline is flagged.
 
 
 def reduce_run(path):
@@ -40,7 +40,6 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("run")
     parser.add_argument("--baseline", default="BENCH_kernels.json")
-    parser.add_argument("--threshold", type=float, default=0.10)
     parser.add_argument("--row")
     args = parser.parse_args()
 
@@ -58,12 +57,12 @@ def main():
             print("%-30s %14.0f %14s" % (name, before, "missing"))
             continue
         ratio = ns[name] / before - 1.0
-        slow = ratio > args.threshold
+        slow = ratio > THRESHOLD
         flagged += slow
         print("%-30s %14.0f %14.0f %+7.0f%%%s" % (
             name, before, ns[name], 100 * ratio, "  SLOWER" if slow else ""))
     print("%d of %d kernels more than %.0f%% slower than %s" % (
-        flagged, len(base["ns_per_op"]), 100 * args.threshold, base["rev"]))
+        flagged, len(base["ns_per_op"]), 100 * THRESHOLD, base["rev"]))
     return 1 if flagged else 0
 
 
