@@ -1,12 +1,18 @@
 #include <cstdio>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "align/aligner.h"
+#include "assignment/sparse_lap.h"
 #include "cli/cli.h"
+#include "common/table.h"
+#include "graph/io.h"
+#include "metrics/metrics.h"
 
 namespace graphalign {
 namespace {
@@ -287,6 +293,76 @@ TEST(CliTest, EvaluateWithoutTruthGivesStructuralScoresOnly) {
   EXPECT_EQ(r.out.find("accuracy"), std::string::npos);
   std::remove(g1.c_str());
   std::remove(mapping.c_str());
+}
+
+// Tests below start pool workers in this process (the LSH signature blocks
+// run on the pool). Each worker's malloc arena reserves up to 64 MiB of
+// address space that a forked --mem-limit child inherits and can allocate
+// from without growing its VmSize, so these stay after the --mem-limit
+// tests when the binary runs as a whole (ctest runs each test alone).
+
+// `align --sparse` end to end: the summary line, the --out mapping file and
+// the structural-quality line all describe the alignment the library's
+// sparse stages (LSH candidates + native NSD scoring + sparse LAP) produce.
+TEST(CliTest, SparseAlignReportsCandidatesMappingAndMetrics) {
+  const std::string g1 = TempPath("sp_g1.txt");
+  const std::string g2 = TempPath("sp_g2.txt");
+  const std::string mapping = TempPath("sp_map.txt");
+  ASSERT_EQ(RunTool({"generate", "--model", "pl", "--n", "150", "--m", "3",
+                     "--seed", "21", "--out", g1})
+                .exit_code,
+            0);
+  ASSERT_EQ(RunTool({"perturb", "--in", g1, "--level", "0.02", "--seed", "22",
+                     "--out", g2})
+                .exit_code,
+            0);
+  CliResult r = RunTool({"align", "--g1", g1, "--g2", g2, "--algo", "NSD",
+                         "--sparse", "--out", mapping});
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+
+  auto graph1 = ReadEdgeList(g1);
+  auto graph2 = ReadEdgeList(g2);
+  ASSERT_TRUE(graph1.ok() && graph2.ok());
+  auto aligner = MakeAligner("NSD");
+  ASSERT_TRUE(aligner.ok());
+  auto sim = (*aligner)->ComputeSparseSimilarity(*graph1, *graph2);
+  ASSERT_TRUE(sim.ok()) << sim.status().ToString();
+  auto expected = SparseLapAssign(graph1->num_nodes(), graph2->num_nodes(),
+                                  sim->candidates);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  int matched = 0;
+  std::string expected_file;
+  for (size_t u = 0; u < expected->size(); ++u) {
+    const int v = (*expected)[u];
+    if (v < 0) continue;
+    ++matched;
+    expected_file += std::to_string(u) + " " + std::to_string(v) + "\n";
+  }
+
+  std::vector<std::string> lines;
+  std::istringstream out(r.out);
+  for (std::string line; std::getline(out, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 3u) << r.out;
+  const std::regex summary(
+      "NSD/sparse aligned " + std::to_string(matched) + "/" +
+      std::to_string(graph1->num_nodes()) + " nodes in [0-9.]+s \\(candidates=" +
+      std::to_string(sim->candidates.size()) + ", native\\)");
+  EXPECT_TRUE(std::regex_match(lines[0], summary)) << lines[0];
+  EXPECT_EQ(lines[1], "mapping written to " + mapping);
+  EXPECT_EQ(lines[2],
+            "MNC=" +
+                Table::Num(MeanMatchedNeighborhoodConsistency(
+                    *graph1, *graph2, *expected)) +
+                " EC=" + Table::Num(EdgeCorrectness(*graph1, *graph2,
+                                                    *expected)) +
+                " S3=" + Table::Num(SymmetricSubstructureScore(
+                             *graph1, *graph2, *expected)));
+
+  std::ifstream f(mapping);
+  std::ostringstream written;
+  written << f.rdbuf();
+  EXPECT_EQ(written.str(), expected_file);
+  for (const std::string& p : {g1, g2, mapping}) std::remove(p.c_str());
 }
 
 }  // namespace
