@@ -27,6 +27,8 @@ int Main(int argc, char** argv) {
   // NetAlign with its native sparse extraction.
   {
     NetAlignAligner netalign;
+    AlignPlan native;
+    native.path = AlignPath::kNative;
     for (double level : bench::LowNoiseLevels(args.full)) {
       NoiseOptions noise;
       noise.level = level;
@@ -37,9 +39,9 @@ int Main(int argc, char** argv) {
         Rng irng = nrng.Fork();
         auto prob = MakeAlignmentProblem(*base, noise, &irng);
         if (!prob.ok()) continue;
-        auto align = netalign.AlignNative(prob->g1, prob->g2);
-        if (!align.ok()) continue;
-        acc += Accuracy(*align, prob->ground_truth);
+        auto report = netalign.Run(prob->g1, prob->g2, native);
+        if (!report.ok()) continue;
+        acc += Accuracy(report->alignment, prob->ground_truth);
         ++done;
       }
       t.AddRow({"NetAlign", Table::Num(level, 2),

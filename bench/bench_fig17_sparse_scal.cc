@@ -19,9 +19,7 @@
 
 #include "bench_util.h"
 #include "common/random.h"
-#include "common/timer.h"
 #include "graph/generators.h"
-#include "metrics/metrics.h"
 #include "noise/noise.h"
 
 namespace graphalign {
@@ -97,58 +95,26 @@ int Run(int argc, char** argv) {
           } else {
             RunOutcome out = RunContained(args, [&] {
               auto aligner = MakeBenchAligner(name);
-              const Deadline deadline =
-                  Deadline::AfterSeconds(args.time_limit_seconds);
-              RunOutcome one;
-              WallTimer timer;
-              Alignment alignment;
+              AlignPlan plan;
+              plan.method = AssignmentMethod::kSortGreedy;
               if (sparse) {
-                LshOptions lsh;
-                lsh.seed = args.seed;
-                auto aligned =
-                    aligner->AlignSparse(problem.g1, problem.g2, lsh,
-                                         deadline);
-                if (!aligned.ok()) {
-                  one.error = aligned.status().code() ==
-                                      StatusCode::kDeadlineExceeded
-                                  ? "DNF (time limit)"
-                                  : aligned.status().ToString();
-                  return one;
-                }
-                alignment = std::move(aligned->alignment);
-                one.aux_count = aligned->num_candidates;
-              } else {
-                auto sim = aligner->ComputeSimilarity(problem.g1, problem.g2,
-                                                      deadline);
-                if (!sim.ok()) {
-                  one.error =
-                      sim.status().code() == StatusCode::kDeadlineExceeded
-                          ? "DNF (time limit)"
-                          : sim.status().ToString();
-                  return one;
-                }
-                auto extracted = ExtractAlignment(
-                    *sim, AssignmentMethod::kSortGreedy, deadline);
-                if (!extracted.ok()) {
-                  one.error = extracted.status().ToString();
-                  return one;
-                }
-                alignment = std::move(*extracted);
+                plan.path = AlignPath::kSparse;
+                plan.lsh.seed = args.seed;
               }
-              one.similarity_seconds = timer.Seconds();
-              if (one.similarity_seconds > args.time_limit_seconds) {
+              RunOutcome one = RunPlan(aligner.get(), problem, plan,
+                                       args.time_limit_seconds);
+              // This figure budgets the whole pipeline, not only the
+              // similarity stage: its seconds column is the sum.
+              if (one.similarity_seconds + one.assignment_seconds >
+                  args.time_limit_seconds) {
+                one.completed = false;
                 one.error = "DNF (time limit)";
-                return one;
               }
-              one.quality = EvaluateAlignment(problem.g1, problem.g2,
-                                              alignment,
-                                              problem.ground_truth);
-              one.completed = true;
-              one.completed_runs = 1;
               return one;
             });
             if (!out.completed && !sparse) dense_out.insert(name);
-            seconds = FormatOutcome(out, out.similarity_seconds);
+            seconds = FormatOutcome(
+                out, out.similarity_seconds + out.assignment_seconds);
             if (out.completed) {
               accuracy = Table::Num(out.quality.accuracy);
               if (sparse) candidates = std::to_string(out.aux_count);

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/failpoint.h"
+#include "common/timer.h"
 
 #include "align/cone.h"
 #include "align/graal.h"
@@ -61,20 +62,6 @@ Result<SparseSimilarityResult> Aligner::ComputeSparseSimilarity(
   return out;
 }
 
-Result<SparseAlignment> Aligner::AlignSparse(const Graph& g1, const Graph& g2,
-                                             const LshOptions& lsh,
-                                             const Deadline& deadline) {
-  GA_ASSIGN_OR_RETURN(SparseSimilarityResult sim,
-                      ComputeSparseSimilarity(g1, g2, lsh, deadline));
-  SparseAlignment out;
-  out.mode = sim.mode;
-  out.num_candidates = static_cast<int64_t>(sim.candidates.size());
-  GA_ASSIGN_OR_RETURN(out.alignment,
-                      SparseLapAssign(g1.num_nodes(), g2.num_nodes(),
-                                      sim.candidates, deadline));
-  return out;
-}
-
 Result<DenseMatrix> Aligner::ComputeSimilarity(const Graph& g1,
                                                const Graph& g2,
                                                const Deadline& deadline) {
@@ -101,12 +88,6 @@ Result<Alignment> Aligner::Align(const Graph& g1, const Graph& g2,
                                  const Deadline& deadline) {
   GA_ASSIGN_OR_RETURN(DenseMatrix sim, ComputeSimilarity(g1, g2, deadline));
   return ExtractAlignment(sim, method, deadline);
-}
-
-Result<Alignment> Aligner::AlignNative(const Graph& g1, const Graph& g2,
-                                       const Deadline& deadline) {
-  GA_RETURN_IF_EXPIRED(deadline, name());
-  return AlignNativeImpl(g1, g2, deadline);
 }
 
 namespace {
@@ -144,59 +125,86 @@ int64_t SanitizeNonFinite(DenseMatrix* m) {
 
 }  // namespace
 
-Result<SimilarityResult> Aligner::ComputeSimilarityRobust(
-    const Graph& g1, const Graph& g2, const Deadline& deadline) {
+Result<AlignPlan> AlignPlanFromAssign(const std::string& name) {
+  AlignPlan plan;
+  if (name == "native") {
+    plan.path = AlignPath::kNative;
+    return plan;
+  }
+  for (AssignmentMethod method :
+       {AssignmentMethod::kNearestNeighbor, AssignmentMethod::kSortGreedy,
+        AssignmentMethod::kHungarian, AssignmentMethod::kJonkerVolgenant}) {
+    if (name == AssignmentMethodName(method)) {
+      plan.method = method;
+      return plan;
+    }
+  }
+  return Status::InvalidArgument("unknown assignment method: " + name);
+}
+
+Result<AlignReport> Aligner::Run(const Graph& g1, const Graph& g2,
+                                 const AlignPlan& plan,
+                                 const Deadline& deadline) {
+  AlignReport out;
+  WallTimer timer;
+  if (plan.path == AlignPath::kNative) {
+    GA_RETURN_IF_EXPIRED(deadline, name());
+    GA_ASSIGN_OR_RETURN(out.alignment, AlignNativeImpl(g1, g2, deadline));
+    out.similarity_seconds = timer.Seconds();
+    return out;
+  }
+  if (plan.path == AlignPath::kSparse) {
+    GA_ASSIGN_OR_RETURN(SparseSimilarityResult sim,
+                        ComputeSparseSimilarity(g1, g2, plan.lsh, deadline));
+    out.sparse_mode = sim.mode;
+    out.lsh = sim.lsh;
+    out.similarity_seconds = timer.Seconds();
+    timer.Restart();
+    GA_ASSIGN_OR_RETURN(out.alignment,
+                        SparseLapAssign(g1.num_nodes(), g2.num_nodes(),
+                                        sim.candidates, deadline));
+    out.assignment_seconds = timer.Seconds();
+    return out;
+  }
+
+  // The degradation ladder (DESIGN.md §12).
   GA_RETURN_IF_ERROR(ValidateInputs(g1, g2));
   Result<DenseMatrix> sim = ComputeSimilarity(g1, g2, deadline);
-  SimilarityResult out;
   if (sim.ok()) {
-    out.similarity = std::move(*sim);
-    const int64_t poisoned = SanitizeNonFinite(&out.similarity);
+    const int64_t poisoned = SanitizeNonFinite(&*sim);
     if (poisoned > 0) {
       out.degraded = true;
       out.degrade_reason = name() + ": zeroed " + std::to_string(poisoned) +
                            " non-finite similarity entries";
     }
-    return out;
+  } else if (sim.status().code() == StatusCode::kNumerical) {
+    out.degraded = true;
+    out.degrade_reason =
+        "degree-profile fallback (" + sim.status().message() + ")";
+    sim = DegreeProfileSimilarity(g1, g2);
+  } else {
+    return sim.status();
   }
-  if (sim.status().code() != StatusCode::kNumerical) return sim.status();
-  out.similarity = DegreeProfileSimilarity(g1, g2);
-  out.degraded = true;
-  out.degrade_reason =
-      "degree-profile fallback (" + sim.status().message() + ")";
-  return out;
-}
-
-Result<RobustAlignment> Aligner::AlignRobust(const Graph& g1, const Graph& g2,
-                                             AssignmentMethod method,
-                                             const Deadline& deadline) {
-  GA_ASSIGN_OR_RETURN(SimilarityResult sim,
-                      ComputeSimilarityRobust(g1, g2, deadline));
-  RobustAlignment out;
-  out.degraded = sim.degraded;
-  out.degrade_reason = sim.degrade_reason;
+  out.similarity_seconds = timer.Seconds();
+  timer.Restart();
   // A degraded matrix does not deserve an O(n^3) optimal solver; SortGreedy
   // extracts the same ranking signal at a fraction of the cost.
-  AssignmentMethod effective = sim.degraded ? AssignmentMethod::kSortGreedy
-                                            : method;
-  Result<Alignment> align =
-      ExtractAlignment(sim.similarity, effective, deadline);
+  const AssignmentMethod method =
+      out.degraded ? AssignmentMethod::kSortGreedy : plan.method;
+  Result<Alignment> align = ExtractAlignment(*sim, method, deadline);
   if (!align.ok() && align.status().code() == StatusCode::kNumerical &&
-      effective != AssignmentMethod::kSortGreedy) {
+      method != AssignmentMethod::kSortGreedy) {
+    // Only reachable on a clean similarity, so at most one reason is set.
     const std::string reason = align.status().message();
-    align = ExtractAlignment(sim.similarity, AssignmentMethod::kSortGreedy,
-                             deadline);
+    align = ExtractAlignment(*sim, AssignmentMethod::kSortGreedy, deadline);
     if (align.ok()) {
       out.degraded = true;
-      out.degrade_reason = out.degrade_reason.empty()
-                               ? "greedy-assignment fallback (" + reason + ")"
-                               : out.degrade_reason +
-                                     "; greedy-assignment fallback (" +
-                                     reason + ")";
+      out.degrade_reason = "greedy-assignment fallback (" + reason + ")";
     }
   }
   GA_RETURN_IF_ERROR(align.status());
   out.alignment = std::move(*align);
+  out.assignment_seconds = timer.Seconds();
   return out;
 }
 

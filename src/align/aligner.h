@@ -1,8 +1,7 @@
 // Common interface for all nine unrestricted graph-alignment algorithms
 // (paper §3). Each algorithm produces a node-similarity matrix; the final
-// correspondence is extracted by a pluggable assignment method (§6.2), with
-// each algorithm also exposing the extraction its authors proposed
-// (Table 1) via AlignNative().
+// correspondence is extracted by a pluggable assignment method (§6.2) or by
+// the extraction its authors proposed (Table 1); Aligner::Run runs either.
 #ifndef GRAPHALIGN_ALIGN_ALIGNER_H_
 #define GRAPHALIGN_ALIGN_ALIGNER_H_
 
@@ -19,23 +18,6 @@
 #include "linalg/dense.h"
 
 namespace graphalign {
-
-// Output of the fault-tolerant similarity path. `degraded` marks results
-// produced by a fallback (sanitized matrix or degree-profile similarity)
-// after a recoverable numerical failure; `degrade_reason` says which one and
-// why. Degraded values render with a trailing `*` in benchmark tables.
-struct SimilarityResult {
-  DenseMatrix similarity;
-  bool degraded = false;
-  std::string degrade_reason;
-};
-
-// Output of the fault-tolerant end-to-end path.
-struct RobustAlignment {
-  Alignment alignment;
-  bool degraded = false;
-  std::string degrade_reason;
-};
 
 // How an aligner fulfills the sparse similarity contract (DESIGN.md §13).
 // Naturally low-rank algorithms (LREA, REGAL, NSD) score only the candidate
@@ -58,11 +40,42 @@ struct SparseSimilarityResult {
   LshStats lsh;
 };
 
-// Output of the end-to-end sparse pipeline.
-struct SparseAlignment {
+// Which pipeline Aligner::Run executes.
+enum class AlignPath {
+  kDense,   // Similarity matrix + `method`, under the degradation ladder.
+  kNative,  // The extraction the algorithm's authors proposed (Table 1).
+  kSparse,  // LSH candidates + candidate scoring + sparse LAP (DESIGN §13).
+};
+
+// What Aligner::Run computes. `method` applies to kDense only, `lsh` to
+// kSparse only.
+struct AlignPlan {
+  AlignPath path = AlignPath::kDense;
+  AssignmentMethod method = AssignmentMethod::kJonkerVolgenant;
+  LshOptions lsh;
+};
+
+// The plan an assignment name selects: "NN", "SG", "MWM" or "JV" (see
+// AssignmentMethodName) is a dense plan with that method, and "native" is
+// the native plan. Any other name is InvalidArgument.
+Result<AlignPlan> AlignPlanFromAssign(const std::string& name);
+
+// Output of Aligner::Run. `degraded` marks an alignment produced by a
+// fallback of the degradation ladder (DESIGN.md §12); `degrade_reason` says
+// which one and why. Degraded values render with a trailing `*` in
+// benchmark tables.
+struct AlignReport {
   Alignment alignment;
-  SparseSimilarityMode mode = SparseSimilarityMode::kDenseFallback;
-  int64_t num_candidates = 0;
+  bool degraded = false;
+  std::string degrade_reason;
+  // Validation, similarity (or LSH candidates and their scoring) and the
+  // sanitize/fallback step. A native run reports its single fused stage
+  // here.
+  double similarity_seconds = 0.0;
+  double assignment_seconds = 0.0;
+  // kSparse only.
+  SparseSimilarityMode sparse_mode = SparseSimilarityMode::kDenseFallback;
+  LshStats lsh;
 };
 
 class Aligner {
@@ -85,39 +98,31 @@ class Aligner {
   Result<DenseMatrix> ComputeSimilarity(const Graph& g1, const Graph& g2,
                                         const Deadline& deadline = Deadline());
 
-  // Full pipeline with an explicit assignment method. The deadline covers
-  // both stages: similarity and assignment extraction. (The bench harness
-  // instead deadlines only the similarity stage, which is what the paper
-  // times and budgets, §6.2.)
+  // Similarity followed by `method`, with no degradation ladder: the plain
+  // composition of ComputeSimilarity and ExtractAlignment. The deadline
+  // covers both stages.
   Result<Alignment> Align(const Graph& g1, const Graph& g2,
                           AssignmentMethod method,
                           const Deadline& deadline = Deadline());
 
-  // Full pipeline with the author-proposed extraction (Table 1).
-  Result<Alignment> AlignNative(const Graph& g1, const Graph& g2,
-                                const Deadline& deadline = Deadline());
-
-  // Fault-tolerant similarity (degradation policy, DESIGN.md §12):
-  //   * success with a finite matrix — passed through unchanged;
-  //   * success with NaN/inf entries — non-finite entries are zeroed and the
-  //     result is marked degraded (a poisoned cell must not decide a match);
-  //   * kNumerical failure (eigensolver non-convergence, SVD sweep
-  //     exhaustion) — replaced by the degree-profile similarity
-  //     1 / (1 + |deg_i - deg_j|), marked degraded;
-  //   * every other failure (invalid input, deadline, crash) propagates.
-  // With no fault, the returned matrix is bit-identical to
-  // ComputeSimilarity's: degradation costs one finiteness scan and nothing
-  // else.
-  Result<SimilarityResult> ComputeSimilarityRobust(
-      const Graph& g1, const Graph& g2, const Deadline& deadline = Deadline());
-
-  // Fault-tolerant end-to-end pipeline. A degraded similarity is extracted
-  // with SortGreedy (Hungarian/JV on a sanitized or surrogate matrix buys
-  // accuracy the matrix no longer has); a kNumerical extraction failure
-  // falls back to SortGreedy once before giving up.
-  Result<RobustAlignment> AlignRobust(const Graph& g1, const Graph& g2,
-                                      AssignmentMethod method,
-                                      const Deadline& deadline = Deadline());
+  // The one end-to-end entry point: runs `plan` with the deadline covering
+  // every stage.
+  //   * kDense runs the degradation ladder (DESIGN.md §12). A finite
+  //     similarity is extracted as is; non-finite entries are zeroed, and a
+  //     kNumerical similarity failure (eigensolver non-convergence, SVD
+  //     sweep exhaustion) is replaced by the degree-profile similarity
+  //     1 / (1 + |deg_i - deg_j|). Either fallback marks the report degraded
+  //     and extracts with SortGreedy (an optimal solver buys no accuracy on
+  //     a sanitized or surrogate matrix). On a clean similarity, a kNumerical
+  //     failure of an optimal solver is retried once with SortGreedy, marked
+  //     degraded. Every other failure propagates. With no fault the
+  //     alignment equals Align's: the ladder costs one finiteness scan.
+  //   * kNative runs the extraction the authors proposed (Table 1).
+  //   * kSparse runs ComputeSparseSimilarity then SparseLapAssign. Rows the
+  //     LSH stage found no candidate for come back unmatched (-1).
+  Result<AlignReport> Run(const Graph& g1, const Graph& g2,
+                          const AlignPlan& plan,
+                          const Deadline& deadline = Deadline());
 
   // Whether ComputeSparseSimilarity scores candidates natively (without an
   // n1 x n2 matrix) or through the dense fallback.
@@ -134,14 +139,6 @@ class Aligner {
   Result<SparseSimilarityResult> ComputeSparseSimilarity(
       const Graph& g1, const Graph& g2, const LshOptions& lsh = {},
       const Deadline& deadline = Deadline());
-
-  // End-to-end sparse pipeline: LSH candidates -> candidate scoring ->
-  // optimal sparse-candidate LAP. Rows the LSH stage found no candidate for
-  // come back unmatched (-1) — the speed/quality tradeoff the fig17 bench
-  // records.
-  Result<SparseAlignment> AlignSparse(const Graph& g1, const Graph& g2,
-                                      const LshOptions& lsh = {},
-                                      const Deadline& deadline = Deadline());
 
  protected:
   // Algorithm-specific similarity computation. Implementations poll the

@@ -79,8 +79,8 @@ Result<Alignment> ExtractAlignment(const DenseMatrix& similarity,
       Status::Numerical("ExtractAlignment: solver failed on degenerate "
                         "similarity"));
   // A row without a finite reduced cost leaves the LAP solvers no column to
-  // augment along (Hungarian would index p[-1]). The robust pipeline
-  // sanitizes first; every other caller gets a typed refusal.
+  // augment along (Hungarian would index p[-1]). Aligner::Run's dense
+  // path sanitizes first; every other caller gets a typed refusal.
   const double* data = similarity.data();
   for (size_t i = 0; i < similarity.size(); ++i) {
     if (!std::isfinite(data[i])) {

@@ -332,58 +332,43 @@ std::vector<std::string> SelectedAlgorithms(const BenchArgs& args) {
   return args.algorithms;
 }
 
-RunOutcome RunAligner(Aligner* aligner, const AlignmentProblem& problem,
-                      AssignmentMethod method, double time_limit_seconds) {
+RunOutcome RunPlan(Aligner* aligner, const AlignmentProblem& problem,
+                   const AlignPlan& plan, double time_limit_seconds) {
   RunOutcome out;
-  // The deadline covers the similarity stage only: the paper's budget and
-  // timing semantics apply to similarity computation (§6.2, Table 3), and
-  // the assignment stage is reported separately. AfterSeconds clamps huge
-  // budgets to "infinite" and treats non-positive budgets (a previous
-  // repetition already spent everything) as immediately expired.
-  const Deadline deadline = Deadline::AfterSeconds(time_limit_seconds);
-  WallTimer timer;
-  // The robust path: with no fault this produces the exact matrix
-  // ComputeSimilarity would (one extra finiteness scan); on a recoverable
-  // numerical failure it degrades instead of losing the cell (DESIGN.md §12).
-  auto sim = aligner->ComputeSimilarityRobust(problem.g1, problem.g2, deadline);
-  out.similarity_seconds = timer.Seconds();
-  if (!sim.ok()) {
-    out.error = sim.status().code() == StatusCode::kDeadlineExceeded
+  // AfterSeconds clamps huge budgets to "infinite" and treats non-positive
+  // budgets (a previous repetition already spent everything) as
+  // immediately expired.
+  auto report = aligner->Run(problem.g1, problem.g2, plan,
+                             Deadline::AfterSeconds(time_limit_seconds));
+  if (!report.ok()) {
+    out.error = report.status().code() == StatusCode::kDeadlineExceeded
                     ? "DNF (time limit)"
-                    : sim.status().ToString();
+                    : report.status().ToString();
     return out;
   }
-  if (out.similarity_seconds > time_limit_seconds) {
+  // The paper's budget is a similarity-stage budget (§6.2, Table 3): a
+  // stage that overran it is DNF even if it finished.
+  if (report->similarity_seconds > time_limit_seconds) {
     out.error = "DNF (time limit)";
     return out;
   }
-  out.degraded = sim->degraded;
-  out.degrade_reason = sim->degrade_reason;
-  timer.Restart();
-  // A degraded matrix gets the cheap greedy extraction: optimal assignment
-  // on surrogate similarities buys nothing (see Aligner::AlignRobust).
-  auto align = ExtractAlignment(
-      sim->similarity,
-      sim->degraded ? AssignmentMethod::kSortGreedy : method);
-  if (!align.ok() && align.status().code() == StatusCode::kNumerical &&
-      !sim->degraded && method != AssignmentMethod::kSortGreedy) {
-    const std::string reason = align.status().message();
-    align = ExtractAlignment(sim->similarity, AssignmentMethod::kSortGreedy);
-    if (align.ok()) {
-      out.degraded = true;
-      out.degrade_reason = "greedy-assignment fallback (" + reason + ")";
-    }
-  }
-  out.assignment_seconds = timer.Seconds();
-  if (!align.ok()) {
-    out.error = align.status().ToString();
-    return out;
-  }
-  out.quality =
-      EvaluateAlignment(problem.g1, problem.g2, *align, problem.ground_truth);
+  out.similarity_seconds = report->similarity_seconds;
+  out.assignment_seconds = report->assignment_seconds;
+  out.aux_count = report->lsh.candidates;
+  out.degraded = report->degraded;
+  out.degrade_reason = report->degrade_reason;
+  out.quality = EvaluateAlignment(problem.g1, problem.g2, report->alignment,
+                                  problem.ground_truth);
   out.completed = true;
   out.completed_runs = 1;
   return out;
+}
+
+RunOutcome RunAligner(Aligner* aligner, const AlignmentProblem& problem,
+                      AssignmentMethod method, double time_limit_seconds) {
+  AlignPlan plan;
+  plan.method = method;
+  return RunPlan(aligner, problem, plan, time_limit_seconds);
 }
 
 RunOutcome RunAveraged(Aligner* aligner, const Graph& base,

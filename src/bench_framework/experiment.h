@@ -79,18 +79,24 @@ struct RunOutcome {
   double assignment_seconds = 0.0;  // Averaged.
   int completed_runs = 0;
   double peak_mem_mb = 0.0;   // Child's peak RSS; only set by isolated runs.
-  int64_t aux_count = 0;      // Bench-defined auxiliary counter, carried
-                              // across the isolation pipe (e.g. the sparse
-                              // pipeline's candidate count).
+  int64_t aux_count = 0;      // The sparse pipeline's LSH candidate
+                              // count, carried across the isolation pipe.
   bool degraded = false;      // Completed via a numerical fallback; tables
                               // render the value with a trailing '*'.
   std::string degrade_reason;
 };
 
-// Runs `aligner` once on `problem`, timing similarity and assignment
-// separately. The budget is enforced cooperatively: the similarity stage is
-// given a Deadline and aborts with DNF soon after it expires, rather than
-// only being flagged DNF after running to completion.
+// Runs `plan` once on `problem` through Aligner::Run and scores the
+// alignment against the ground truth, timing similarity and assignment
+// separately. The budget is one cooperative Deadline over every stage: the
+// run aborts with "DNF (time limit)" soon after it expires, rather than
+// only being flagged DNF after running to completion. A similarity stage
+// that finished past the budget is DNF as well. A sparse plan's LSH
+// candidate count goes to aux_count.
+RunOutcome RunPlan(Aligner* aligner, const AlignmentProblem& problem,
+                   const AlignPlan& plan, double time_limit_seconds);
+
+// RunPlan with a dense plan that extracts with `method`.
 RunOutcome RunAligner(Aligner* aligner, const AlignmentProblem& problem,
                       AssignmentMethod method, double time_limit_seconds);
 

@@ -273,116 +273,62 @@ int CmdAlignInner(const Flags& flags, std::ostream& out, std::ostream& err) {
     deadline = Deadline::AfterSeconds(limit);
   }
 
+  const std::string assign = flags.GetString("assign", "JV");
+  auto plan = AlignPlanFromAssign(assign);
+  if (!plan.ok()) return Fail(err, plan.status());
   // --sparse: LSH candidate generation + candidate-only scoring + sparse
   // LAP. Never builds the n1 x n2 matrix for native-capable algorithms
   // (LREA, REGAL, NSD); the output says which path actually ran.
-  if (flags.Has("sparse")) {
-    LshOptions lsh;
-    auto bands = StrictIntFlag(flags, "lsh-bands", lsh.bands);
+  const bool sparse = flags.Has("sparse");
+  if (sparse) {
+    plan->path = AlignPath::kSparse;
+    auto bands = StrictIntFlag(flags, "lsh-bands", plan->lsh.bands);
     if (!bands.ok()) return Fail(err, bands.status());
-    lsh.bands = *bands;
-    auto rows = StrictIntFlag(flags, "lsh-rows", lsh.rows_per_band);
+    plan->lsh.bands = *bands;
+    auto rows = StrictIntFlag(flags, "lsh-rows", plan->lsh.rows_per_band);
     if (!rows.ok()) return Fail(err, rows.status());
-    lsh.rows_per_band = *rows;
-    WallTimer sparse_timer;
-    auto sparse = (*aligner)->AlignSparse(*g1, *g2, lsh, deadline);
-    if (!sparse.ok()) {
-      if (sparse.status().code() == StatusCode::kDeadlineExceeded) {
-        err << "DNF: " << algo << " exceeded the time limit after "
-            << Table::Num(sparse_timer.Seconds(), 2) << "s\n";
-        return kExitDnf;
-      }
-      if (sparse.status().code() == StatusCode::kNumerical) {
-        err << "NUMERICAL: " << sparse.status().message() << "\n";
-        return kExitNumerical;
-      }
-      return Fail(err, sparse.status());
-    }
-    const double secs = sparse_timer.Seconds();
-    int matched = 0;
-    for (int v : sparse->alignment) matched += (v >= 0);
-    out << algo << "/sparse aligned " << matched << "/" << g1->num_nodes()
-        << " nodes in " << Table::Num(secs, 2) << "s (candidates="
-        << sparse->num_candidates << ", "
-        << SparseSimilarityModeName(sparse->mode) << ")\n";
-    const std::string out_path = flags.GetString("out");
-    if (!out_path.empty()) {
-      Status s = WriteMapping(sparse->alignment, out_path);
-      if (!s.ok()) return Fail(err, s);
-      out << "mapping written to " << out_path << "\n";
-    }
-    out << "MNC=" << Table::Num(MeanMatchedNeighborhoodConsistency(
-                       *g1, *g2, sparse->alignment))
-        << " EC=" << Table::Num(EdgeCorrectness(*g1, *g2, sparse->alignment))
-        << " S3=" << Table::Num(SymmetricSubstructureScore(
-                       *g1, *g2, sparse->alignment))
-        << "\n";
-    return 0;
+    plan->lsh.rows_per_band = *rows;
   }
-
-  const std::string assign = flags.GetString("assign", "JV");
   WallTimer timer;
-  Result<Alignment> alignment = Alignment{};
-  bool degraded = false;
-  std::string degrade_reason;
-  if (assign == "native") {
-    alignment = (*aligner)->AlignNative(*g1, *g2, deadline);
-  } else {
-    AssignmentMethod method;
-    if (assign == "NN") {
-      method = AssignmentMethod::kNearestNeighbor;
-    } else if (assign == "SG") {
-      method = AssignmentMethod::kSortGreedy;
-    } else if (assign == "MWM") {
-      method = AssignmentMethod::kHungarian;
-    } else if (assign == "JV") {
-      method = AssignmentMethod::kJonkerVolgenant;
-    } else {
-      return Fail(err, Status::InvalidArgument(
-                           "unknown assignment method: " + assign));
-    }
-    // The robust path degrades gracefully on recoverable numerical failures
-    // (sanitized matrix, degree-profile fallback, greedy assignment) instead
-    // of erroring out; a degraded result is reported as such below.
-    auto robust = (*aligner)->AlignRobust(*g1, *g2, method, deadline);
-    if (robust.ok()) {
-      alignment = std::move(robust->alignment);
-      degraded = robust->degraded;
-      degrade_reason = std::move(robust->degrade_reason);
-    } else {
-      alignment = robust.status();
-    }
-  }
-  if (!alignment.ok()) {
-    if (alignment.status().code() == StatusCode::kDeadlineExceeded) {
+  // The dense path degrades gracefully on recoverable numerical failures
+  // (sanitized matrix, degree-profile fallback, greedy assignment) instead
+  // of erroring out; a degraded result is reported as such below.
+  auto report = (*aligner)->Run(*g1, *g2, *plan, deadline);
+  if (!report.ok()) {
+    if (report.status().code() == StatusCode::kDeadlineExceeded) {
       err << "DNF: " << algo << " exceeded the time limit after "
           << Table::Num(timer.Seconds(), 2) << "s\n";
       return kExitDnf;
     }
-    if (alignment.status().code() == StatusCode::kNumerical) {
-      err << "NUMERICAL: " << alignment.status().message() << "\n";
+    if (report.status().code() == StatusCode::kNumerical) {
+      err << "NUMERICAL: " << report.status().message() << "\n";
       return kExitNumerical;
     }
-    return Fail(err, alignment.status());
+    return Fail(err, report.status());
   }
+  const Alignment& alignment = report->alignment;
   const double secs = timer.Seconds();
   int matched = 0;
-  for (int v : *alignment) matched += (v >= 0);
-  out << algo << "/" << assign << " aligned " << matched << "/"
-      << g1->num_nodes() << " nodes in " << Table::Num(secs, 2) << "s";
-  if (degraded) out << " [degraded: " << degrade_reason << "]";
+  for (int v : alignment) matched += (v >= 0);
+  out << algo << "/" << (sparse ? "sparse" : assign) << " aligned " << matched
+      << "/" << g1->num_nodes() << " nodes in " << Table::Num(secs, 2) << "s";
+  if (sparse) {
+    out << " (candidates=" << report->lsh.candidates << ", "
+        << SparseSimilarityModeName(report->sparse_mode) << ")";
+  }
+  if (report->degraded) out << " [degraded: " << report->degrade_reason << "]";
   out << "\n";
   const std::string out_path = flags.GetString("out");
   if (!out_path.empty()) {
-    Status s = WriteMapping(*alignment, out_path);
+    Status s = WriteMapping(alignment, out_path);
     if (!s.ok()) return Fail(err, s);
     out << "mapping written to " << out_path << "\n";
   }
   // Structural quality is computable without ground truth.
   out << "MNC=" << Table::Num(MeanMatchedNeighborhoodConsistency(
-                     *g1, *g2, *alignment))
-      << " EC=" << Table::Num(EdgeCorrectness(*g1, *g2, *alignment))
-      << " S3=" << Table::Num(SymmetricSubstructureScore(*g1, *g2, *alignment))
+                     *g1, *g2, alignment))
+      << " EC=" << Table::Num(EdgeCorrectness(*g1, *g2, alignment))
+      << " S3=" << Table::Num(SymmetricSubstructureScore(*g1, *g2, alignment))
       << "\n";
   return 0;
 }

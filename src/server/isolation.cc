@@ -97,14 +97,6 @@ Result<std::unique_ptr<Aligner>> MakeRequestAligner(const std::string& algo) {
   return MakeAligner(algo);
 }
 
-Result<AssignmentMethod> ParseAssignMethod(const std::string& assign) {
-  if (assign == "NN") return AssignmentMethod::kNearestNeighbor;
-  if (assign == "SG") return AssignmentMethod::kSortGreedy;
-  if (assign == "MWM") return AssignmentMethod::kHungarian;
-  if (assign == "JV") return AssignmentMethod::kJonkerVolgenant;
-  return Status::InvalidArgument("unknown assignment method: " + assign);
-}
-
 // ---------------------------------------------------------------------------
 // Codecs. Both ends are the same binary, built from the same sources.
 
@@ -233,45 +225,33 @@ int AlignChild(const AlignRequest& spec, const Graph& g1, const Graph& g2,
                                    1000.0)
           : Deadline::Infinite();
   WallTimer align_timer;
-  // Non-native requests take the fault-tolerant path: recoverable numerical
+  // Dense requests take the degradation ladder: recoverable numerical
   // failures come back as degraded results, not errors. Native extraction
-  // has no robust variant (the author-proposed extraction is part of what
-  // it measures).
-  Result<Alignment> alignment = Alignment{};
-  bool degraded = false;
-  std::string degrade_reason;
-  if (spec.assign == "native") {
-    alignment = aligner->AlignNative(g1, g2, deadline);
-  } else {
-    auto method = ParseAssignMethod(spec.assign);
-    auto robust = method.ok() ? aligner->AlignRobust(g1, g2, *method, deadline)
-                              : Result<RobustAlignment>(method.status());
-    if (robust.ok()) {
-      degraded = robust->degraded;
-      degrade_reason = robust->degrade_reason;
-      alignment = std::move(robust->alignment);
-    } else {
-      alignment = robust.status();
-    }
-  }
+  // has no ladder (the author-proposed extraction is part of what it
+  // measures).
+  auto plan = AlignPlanFromAssign(spec.assign);
+  Result<AlignReport> report =
+      plan.ok() ? aligner->Run(g1, g2, *plan, deadline)
+                : Result<AlignReport>(plan.status());
   std::string outcome;
-  if (!alignment.ok()) {
+  if (!report.ok()) {
     ResponseCode code = ResponseCode::kError;
-    if (alignment.status().code() == StatusCode::kDeadlineExceeded) {
+    if (report.status().code() == StatusCode::kDeadlineExceeded) {
       code = ResponseCode::kDnf;
-    } else if (alignment.status().code() == StatusCode::kNumerical) {
+    } else if (report.status().code() == StatusCode::kNumerical) {
       code = ResponseCode::kNumerical;
     }
-    outcome = EncodeChildError(code, alignment.status().ToString());
+    outcome = EncodeChildError(code, report.status().ToString());
   } else {
+    const Alignment& alignment = report->alignment;
     AlignResult result;
     result.align_seconds = align_timer.Seconds();
-    result.mnc = MeanMatchedNeighborhoodConsistency(g1, g2, *alignment);
-    result.ec = EdgeCorrectness(g1, g2, *alignment);
-    result.s3 = SymmetricSubstructureScore(g1, g2, *alignment);
-    result.mapping.assign(alignment->begin(), alignment->end());
-    result.degraded = degraded;
-    result.degrade_reason = degrade_reason;
+    result.mnc = MeanMatchedNeighborhoodConsistency(g1, g2, alignment);
+    result.ec = EdgeCorrectness(g1, g2, alignment);
+    result.s3 = SymmetricSubstructureScore(g1, g2, alignment);
+    result.mapping.assign(alignment.begin(), alignment.end());
+    result.degraded = report->degraded;
+    result.degrade_reason = report->degrade_reason;
     outcome = EncodeChildOutcome(result);
   }
   return WritePayload(payload_fd, outcome) ? 0 : 1;
@@ -414,8 +394,7 @@ int RecvFd(int control, bool* lost) {
 
 Status CheckAlignNames(const std::string& algo, const std::string& assign) {
   GA_RETURN_IF_ERROR(MakeRequestAligner(algo).status());
-  if (assign == "native") return Status::Ok();
-  return ParseAssignMethod(assign).status();
+  return AlignPlanFromAssign(assign).status();
 }
 
 bool DecodeAlignOutcome(std::string_view payload, Response* response) {

@@ -62,6 +62,12 @@ const Graph* AlignFixture::base_ = nullptr;
 const AlignmentProblem* AlignFixture::clean_ = nullptr;
 const AlignmentProblem* AlignFixture::noisy_ = nullptr;
 
+AlignPlan NativePlan() {
+  AlignPlan plan;
+  plan.path = AlignPath::kNative;
+  return plan;
+}
+
 double JvAccuracy(Aligner* aligner, const AlignmentProblem& prob) {
   auto align =
       aligner->Align(prob.g1, prob.g2, AssignmentMethod::kJonkerVolgenant);
@@ -151,10 +157,11 @@ TEST_P(AllAlignersTest, DeterministicAcrossRuns) {
 TEST_P(AllAlignersTest, NativeAlignmentIsValid) {
   auto aligner = MakeAligner(GetParam());
   ASSERT_TRUE(aligner.ok());
-  auto align = (*aligner)->AlignNative(noisy_->g1, noisy_->g2);
-  ASSERT_TRUE(align.ok()) << GetParam();
-  ASSERT_EQ(static_cast<int>(align->size()), noisy_->g1.num_nodes());
-  for (int t : *align) {
+  auto report = (*aligner)->Run(noisy_->g1, noisy_->g2, NativePlan());
+  ASSERT_TRUE(report.ok()) << GetParam();
+  ASSERT_EQ(static_cast<int>(report->alignment.size()),
+            noisy_->g1.num_nodes());
+  for (int t : report->alignment) {
     EXPECT_GE(t, -1);
     EXPECT_LT(t, noisy_->g2.num_nodes());
   }
@@ -283,10 +290,10 @@ TEST(LreaTest, NativeExtractionIsOneToOne) {
   auto prob = MakeAlignmentProblem(*base, opts, &rng);
   ASSERT_TRUE(prob.ok());
   LreaAligner lrea;
-  auto align = lrea.AlignNative(prob->g1, prob->g2);
-  ASSERT_TRUE(align.ok());
+  auto report = lrea.Run(prob->g1, prob->g2, NativePlan());
+  ASSERT_TRUE(report.ok());
   std::set<int> used;
-  for (int t : *align) {
+  for (int t : report->alignment) {
     if (t < 0) continue;
     EXPECT_TRUE(used.insert(t).second) << "duplicate target " << t;
   }
@@ -535,6 +542,32 @@ TEST_P(AssignmentSwapTest, ProducesValidAlignment) {
           << " produced a duplicate match";
     }
   }
+  // With no fault, the dense plan's ladder leaves the alignment untouched.
+  auto plan = AlignPlanFromAssign(AssignmentMethodName(method));
+  ASSERT_TRUE(plan.ok());
+  auto report = (*aligner)->Run(prob->g1, prob->g2, *plan);
+  ASSERT_TRUE(report.ok()) << name;
+  EXPECT_EQ(report->alignment, *align) << name;
+  EXPECT_FALSE(report->degraded) << name << ": " << report->degrade_reason;
+}
+
+// AlignPlanFromAssign is the one parser for --assign and the daemon's
+// assignment names.
+TEST(AlignPlanTest, FromAssignMapsEveryName) {
+  for (AssignmentMethod method :
+       {AssignmentMethod::kNearestNeighbor, AssignmentMethod::kSortGreedy,
+        AssignmentMethod::kHungarian, AssignmentMethod::kJonkerVolgenant}) {
+    auto plan = AlignPlanFromAssign(AssignmentMethodName(method));
+    ASSERT_TRUE(plan.ok()) << AssignmentMethodName(method);
+    EXPECT_EQ(plan->path, AlignPath::kDense);
+    EXPECT_EQ(plan->method, method);
+  }
+  auto native = AlignPlanFromAssign("native");
+  ASSERT_TRUE(native.ok());
+  EXPECT_EQ(native->path, AlignPath::kNative);
+  auto unknown = AlignPlanFromAssign("XX");
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(unknown.status().message(), "unknown assignment method: XX");
 }
 
 }  // namespace

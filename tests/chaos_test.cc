@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -56,6 +55,12 @@ class ChaosTest : public ::testing::Test {
     return *std::move(g);
   }
 
+  static AlignPlan DensePlan(AssignmentMethod method) {
+    AlignPlan plan;
+    plan.method = method;
+    return plan;
+  }
+
   static AlignmentProblem SmallProblem(uint64_t seed) {
     Graph base = SmallGraph(seed);
     NoiseOptions noise;
@@ -78,8 +83,8 @@ TEST_F(ChaosTest, SimilarityErrorDegradesEveryAligner) {
   for (const char* name : {"IsoRank", "NSD", "LREA", "GRASP"}) {
     auto aligner = MakeAligner(name);
     ASSERT_TRUE(aligner.ok()) << name;
-    auto robust = (*aligner)->AlignRobust(g1, g2,
-                                          AssignmentMethod::kJonkerVolgenant);
+    auto robust = (*aligner)->Run(
+        g1, g2, DensePlan(AssignmentMethod::kJonkerVolgenant));
     ASSERT_TRUE(robust.ok()) << name << ": " << robust.status().ToString();
     EXPECT_TRUE(robust->degraded) << name;
     EXPECT_NE(robust->degrade_reason.find("degree-profile fallback"),
@@ -96,17 +101,15 @@ TEST_F(ChaosTest, NanPoisonIsSanitizedAndMarked) {
   ASSERT_TRUE(ActivateFailpoint("align.similarity.nan", "nan").ok());
   auto aligner = MakeAligner("NSD");
   ASSERT_TRUE(aligner.ok());
-  auto sim = (*aligner)->ComputeSimilarityRobust(g1, g2);
-  ASSERT_TRUE(sim.ok()) << sim.status().ToString();
-  EXPECT_TRUE(sim->degraded);
-  EXPECT_NE(sim->degrade_reason.find("non-finite"), std::string::npos)
-      << sim->degrade_reason;
-  // The sanitized matrix must be fully finite.
-  for (int i = 0; i < sim->similarity.rows(); ++i) {
-    for (int j = 0; j < sim->similarity.cols(); ++j) {
-      ASSERT_TRUE(std::isfinite(sim->similarity(i, j)));
-    }
-  }
+  auto robust =
+      (*aligner)->Run(g1, g2, DensePlan(AssignmentMethod::kJonkerVolgenant));
+  // ExtractAlignment refuses any matrix with a non-finite entry, so a
+  // successful run proves the sanitized matrix was fully finite.
+  ASSERT_TRUE(robust.ok()) << robust.status().ToString();
+  EXPECT_TRUE(robust->degraded);
+  EXPECT_NE(robust->degrade_reason.find("non-finite"), std::string::npos)
+      << robust->degrade_reason;
+  EXPECT_EQ(robust->alignment.size(), static_cast<size_t>(g1.num_nodes()));
 }
 
 TEST_F(ChaosTest, EigenNoConvergeDegradesSpectralAligner) {
@@ -117,8 +120,8 @@ TEST_F(ChaosTest, EigenNoConvergeDegradesSpectralAligner) {
   ASSERT_TRUE(ActivateFailpoint("linalg.eigen.no-converge", "error").ok());
   auto aligner = MakeAligner("GRASP");
   ASSERT_TRUE(aligner.ok());
-  auto robust = (*aligner)->AlignRobust(g1, g2,
-                                        AssignmentMethod::kJonkerVolgenant);
+  auto robust =
+      (*aligner)->Run(g1, g2, DensePlan(AssignmentMethod::kJonkerVolgenant));
   ASSERT_TRUE(robust.ok()) << robust.status().ToString();
   EXPECT_TRUE(robust->degraded);
   EXPECT_NE(robust->degrade_reason.find("did not converge"),
@@ -132,8 +135,8 @@ TEST_F(ChaosTest, DelayModeSlowsButDoesNotDegrade) {
   ASSERT_TRUE(ActivateFailpoint("align.similarity.error", "delay-ms:20").ok());
   auto aligner = MakeAligner("NSD");
   ASSERT_TRUE(aligner.ok());
-  auto robust = (*aligner)->AlignRobust(g1, g2,
-                                        AssignmentMethod::kSortGreedy);
+  auto robust =
+      (*aligner)->Run(g1, g2, DensePlan(AssignmentMethod::kSortGreedy));
   ASSERT_TRUE(robust.ok()) << robust.status().ToString();
   EXPECT_FALSE(robust->degraded);
 }
@@ -146,8 +149,8 @@ TEST_F(ChaosTest, ExtractionFaultFallsBackToGreedyOnce) {
 
   // `once`: the JV attempt fails, the greedy retry finds the site spent.
   ASSERT_TRUE(ActivateFailpoint("assignment.extract.error", "once").ok());
-  auto robust = (*aligner)->AlignRobust(g1, g2,
-                                        AssignmentMethod::kJonkerVolgenant);
+  auto robust =
+      (*aligner)->Run(g1, g2, DensePlan(AssignmentMethod::kJonkerVolgenant));
   ASSERT_TRUE(robust.ok()) << robust.status().ToString();
   EXPECT_TRUE(robust->degraded);
   EXPECT_NE(robust->degrade_reason.find("greedy-assignment fallback"),
@@ -157,8 +160,8 @@ TEST_F(ChaosTest, ExtractionFaultFallsBackToGreedyOnce) {
   // Persistent fault: the greedy retry fails too and the typed kNumerical
   // error propagates — degradation is best-effort, not error swallowing.
   ASSERT_TRUE(ActivateFailpoint("assignment.extract.error", "error").ok());
-  robust = (*aligner)->AlignRobust(g1, g2,
-                                   AssignmentMethod::kJonkerVolgenant);
+  robust =
+      (*aligner)->Run(g1, g2, DensePlan(AssignmentMethod::kJonkerVolgenant));
   ASSERT_FALSE(robust.ok());
   EXPECT_EQ(robust.status().code(), StatusCode::kNumerical);
 }
@@ -190,8 +193,10 @@ TEST_F(ChaosTest, SparseCandidateFaultIsTypedError) {
   EXPECT_NE(sparse.status().message().find("LSH candidate generation failed"),
             std::string::npos)
       << sparse.status().ToString();
-  // AlignSparse propagates the same typed error end to end.
-  auto aligned = (*aligner)->AlignSparse(problem.g1, problem.g2);
+  // The sparse plan propagates the same typed error end to end.
+  AlignPlan plan;
+  plan.path = AlignPath::kSparse;
+  auto aligned = (*aligner)->Run(problem.g1, problem.g2, plan);
   ASSERT_FALSE(aligned.ok());
   EXPECT_EQ(aligned.status().code(), StatusCode::kUnavailable);
 }
@@ -310,6 +315,20 @@ TEST_F(ChaosTest, OomModeIsContainedUnderIsolation) {
   EXPECT_FALSE(out.completed);
   EXPECT_EQ(out.error.rfind("OOM", 0), 0u) << out.error;
   EXPECT_EQ(FormatOutcome(out, 0.0), "OOM");
+}
+
+TEST_F(ChaosTest, ExtractionDelayPastTheBudgetIsDnf) {
+  // The bench budget covers every stage: a similarity well inside 0.2 s
+  // followed by a 300 ms stall in extraction is DNF, not a completed cell.
+  const AlignmentProblem problem = SmallProblem(64);
+  ASSERT_TRUE(
+      ActivateFailpoint("assignment.extract.error", "delay-ms:300").ok());
+  auto aligner = MakeAligner("NSD");
+  ASSERT_TRUE(aligner.ok());
+  RunOutcome out = RunAligner(aligner->get(), problem,
+                              AssignmentMethod::kSortGreedy, 0.2);
+  EXPECT_FALSE(out.completed);
+  EXPECT_EQ(out.error, "DNF (time limit)");
 }
 
 TEST_F(ChaosTest, DegradedOutcomeRendersTrailingStar) {

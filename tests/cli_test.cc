@@ -365,5 +365,21 @@ TEST(CliTest, SparseAlignReportsCandidatesMappingAndMetrics) {
   for (const std::string& p : {g1, g2, mapping}) std::remove(p.c_str());
 }
 
+// Every path parses --assign with the same rules: --sparse does not make an
+// unknown assignment name acceptable.
+TEST(CliTest, SparseAlignRejectsUnknownAssignment) {
+  const std::string g1 = TempPath("sp_bad_g1.txt");
+  ASSERT_EQ(RunTool({"generate", "--model", "er", "--n", "20", "--p", "0.2",
+                     "--out", g1})
+                .exit_code,
+            0);
+  CliResult r = RunTool({"align", "--g1", g1, "--g2", g1, "--algo", "NSD",
+                         "--sparse", "--assign", "XX"});
+  EXPECT_EQ(r.exit_code, 1) << r.out;
+  EXPECT_NE(r.err.find("unknown assignment method: XX"), std::string::npos)
+      << r.err;
+  std::remove(g1.c_str());
+}
+
 }  // namespace
 }  // namespace graphalign

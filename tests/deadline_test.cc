@@ -111,6 +111,12 @@ TEST(DeadlineCheckerTest, InfiniteDeadlineNeverExpires) {
 
 // --- Zero-budget fast fail and backward compatibility ---------------------
 
+AlignPlan NativePlan() {
+  AlignPlan plan;
+  plan.path = AlignPath::kNative;
+  return plan;
+}
+
 TEST(DeadlineAlignerTest, AllAlignersFastFailOnExpiredDeadline) {
   const Graph g1 = MakeEr(60, 0.1, 1);
   const Graph g2 = MakeEr(60, 0.1, 2);
@@ -125,7 +131,7 @@ TEST(DeadlineAlignerTest, AllAlignersFastFailOnExpiredDeadline) {
     EXPECT_LT(SecondsSince(start), 0.5) << name << " was not a fast fail";
 
     auto align =
-        (*aligner)->AlignNative(g1, g2, Deadline::AfterSeconds(-1.0));
+        (*aligner)->Run(g1, g2, NativePlan(), Deadline::AfterSeconds(-1.0));
     ASSERT_FALSE(align.ok()) << name;
     EXPECT_EQ(align.status().code(), StatusCode::kDeadlineExceeded) << name;
   }
@@ -139,7 +145,7 @@ TEST(DeadlineAlignerTest, NoDeadlineKeepsWorking) {
     ASSERT_TRUE(aligner.ok()) << name;
     auto sim = (*aligner)->ComputeSimilarity(g1, g2);
     ASSERT_TRUE(sim.ok()) << name << ": " << sim.status().ToString();
-    auto align = (*aligner)->AlignNative(g1, g2);
+    auto align = (*aligner)->Run(g1, g2, NativePlan());
     ASSERT_TRUE(align.ok()) << name << ": " << align.status().ToString();
   }
 }

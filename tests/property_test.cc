@@ -343,6 +343,12 @@ TEST_P(NoiseAccountingTest, EdgeBudgetsExact) {
 // ---------------------------------------------------------------------------
 // NetAlign (excluded baseline) sanity.
 
+AlignPlan NativePlan() {
+  AlignPlan plan;
+  plan.path = AlignPath::kNative;
+  return plan;
+}
+
 TEST(NetAlignTest, ValidOneToOneOutputButWeakerThanIncludedMethods) {
   Rng rng(41);
   auto base = PowerlawCluster(100, 3, 0.4, &rng);
@@ -352,13 +358,13 @@ TEST(NetAlignTest, ValidOneToOneOutputButWeakerThanIncludedMethods) {
   auto prob = MakeAlignmentProblem(*base, noise, &rng);
   ASSERT_TRUE(prob.ok());
   NetAlignAligner netalign;
-  auto align = netalign.AlignNative(prob->g1, prob->g2);
-  ASSERT_TRUE(align.ok());
+  auto report = netalign.Run(prob->g1, prob->g2, NativePlan());
+  ASSERT_TRUE(report.ok());
   std::set<int> used;
-  for (int t : *align) {
+  for (int t : report->alignment) {
     if (t >= 0) EXPECT_TRUE(used.insert(t).second);
   }
-  const double acc = Accuracy(*align, prob->ground_truth);
+  const double acc = Accuracy(report->alignment, prob->ground_truth);
   EXPECT_GT(acc, 0.02);  // Better than random...
   EXPECT_LT(acc, 0.9);   // ...but clearly below the included nine (§4).
 }
@@ -388,7 +394,7 @@ TEST(NetAlignTest, RejectsBadOptions) {
   EXPECT_FALSE(NetAlignAligner(opts).ComputeSimilarity(*g, *g).ok());
   opts = NetAlignOptions();
   opts.candidates_per_node = 0;
-  EXPECT_FALSE(NetAlignAligner(opts).AlignNative(*g, *g).ok());
+  EXPECT_FALSE(NetAlignAligner(opts).Run(*g, *g, NativePlan()).ok());
 }
 
 }  // namespace

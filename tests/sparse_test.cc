@@ -1,5 +1,6 @@
 // Sparse similarity pipeline tests (DESIGN.md §13): MinHash/LSH candidate
-// generation, native vs dense-fallback scoring, end-to-end AlignSparse, and
+// generation, native vs dense-fallback scoring, the end-to-end sparse plan
+// of Aligner::Run, and
 // determinism. The whole binary is also registered under GRAPHALIGN_THREADS=1
 // and =2 (tests/CMakeLists.txt); the pinned golden checksums below therefore
 // prove byte-identical candidate sets and alignments at every pool size, the
@@ -27,6 +28,12 @@ Graph MustGraph(int n, const std::vector<Edge>& edges) {
   auto g = Graph::FromEdges(n, edges);
   GA_CHECK(g.ok());
   return *std::move(g);
+}
+
+AlignPlan SparsePlan() {
+  AlignPlan plan;
+  plan.path = AlignPath::kSparse;
+  return plan;
 }
 
 // FNV-1a over the (row, col) pairs; similarities are hashed via their bit
@@ -225,7 +232,7 @@ constexpr uint64_t kAlignGolden = 0x84b8a23625a0014fULL;
 TEST(LshDeterminismTest, AlignSparseMatchesGoldenChecksum) {
   AlignmentProblem problem = PermutedProblem(300, /*seed=*/13);
   NsdAligner aligner;
-  auto aligned = aligner.AlignSparse(problem.g1, problem.g2);
+  auto aligned = aligner.Run(problem.g1, problem.g2, SparsePlan());
   ASSERT_TRUE(aligned.ok());
   EXPECT_EQ(AlignmentChecksum(aligned->alignment), kAlignGolden);
 }
@@ -300,10 +307,10 @@ TEST(SparseSimilarityTest, DenseFallbackSamplesTheDenseMatrix) {
 TEST(AlignSparseTest, RecoversMostOfAPermutedCopy) {
   AlignmentProblem problem = PermutedProblem(300, /*seed=*/41);
   NsdAligner aligner;
-  auto aligned = aligner.AlignSparse(problem.g1, problem.g2);
+  auto aligned = aligner.Run(problem.g1, problem.g2, SparsePlan());
   ASSERT_TRUE(aligned.ok());
-  EXPECT_EQ(aligned->mode, SparseSimilarityMode::kNative);
-  EXPECT_GT(aligned->num_candidates, 0);
+  EXPECT_EQ(aligned->sparse_mode, SparseSimilarityMode::kNative);
+  EXPECT_GT(aligned->lsh.candidates, 0);
   int matched = 0;
   for (int v : aligned->alignment) matched += (v >= 0);
   // Every row with at least one candidate gets matched (max cardinality);
@@ -315,15 +322,15 @@ TEST(AlignSparseTest, EmptyGraphIsInvalid) {
   Graph empty = MustGraph(0, {});
   Graph g = MustGraph(2, {{0, 1}});
   NsdAligner aligner;
-  EXPECT_EQ(aligner.AlignSparse(empty, g).status().code(),
+  EXPECT_EQ(aligner.Run(empty, g, SparsePlan()).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(AlignSparseTest, ExpiredDeadlinePropagates) {
   AlignmentProblem problem = PermutedProblem(100, /*seed=*/19);
   NsdAligner aligner;
-  auto result = aligner.AlignSparse(problem.g1, problem.g2, {},
-                                    Deadline::AfterSeconds(0.0));
+  auto result = aligner.Run(problem.g1, problem.g2, SparsePlan(),
+                            Deadline::AfterSeconds(0.0));
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 

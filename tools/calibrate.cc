@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
       auto align = (*aligner)->Align(prob->g1, prob->g2, AssignmentMethod::kJonkerVolgenant);
       if (!align.ok()) { printf("ERROR %s\n", align.status().ToString().c_str()); continue; }
       double acc = Accuracy(*align, prob->ground_truth);
-      auto nat = (*aligner)->AlignNative(prob->g1, prob->g2);
-      double nacc = nat.ok() ? Accuracy(*nat, prob->ground_truth) : -1;
+      auto nat = (*aligner)->Run(prob->g1, prob->g2, *AlignPlanFromAssign("native"));
+      double nacc = nat.ok() ? Accuracy(nat->alignment, prob->ground_truth) : -1;
       printf("acc(JV)=%.3f acc(native)=%.3f  %.2fs\n", acc, nacc, t.Seconds());
       fflush(stdout);
     }

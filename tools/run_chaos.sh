@@ -3,8 +3,10 @@
 # through GRAPHALIGN_FAILPOINTS and asserts each injected fault produces a
 # *typed* outcome — a documented exit code, a degraded-but-complete result,
 # or a contained CRASH — never an unhandled abort, a hang, or silence:
-#   1. every site x {error, delay-ms} through an isolated align: exit code
-#      must stay in the documented set and the run must finish in time,
+#   1. every site x {error, delay-ms} through an isolated align, dense
+#      (GRASP) and sparse (NSD --sparse, which reaches the LSH and sparse-LAP
+#      sites): exit code must stay in the documented set and the run must
+#      finish in time,
 #   2. crash mode on the similarity path under --isolate: typed exit 4,
 #   3. a forced eigensolver non-convergence: degraded result, exit 0,
 #   4. a daemon armed with server.busy=once: submit --retries rides through
@@ -57,12 +59,15 @@ SITES="$("$TOOL" failpoints)"
 [[ -n "$SITES" ]] || { echo "failpoints listing is empty" >&2; exit 1; }
 for site in $SITES; do
   for mode in error delay-ms:10; do
-    rc=0
-    GRAPHALIGN_FAILPOINTS="$site=$mode" timeout 120 \
-      "$TOOL" align --g1 "$WORK/g1.txt" --g2 "$WORK/g2.txt" \
-      --algo GRASP --isolate > "$WORK/cell.out" 2> "$WORK/cell.err" || rc=$?
-    check_typed_exit "$rc" "$site=$mode" || {
-      cat "$WORK/cell.out" "$WORK/cell.err" >&2; exit 1; }
+    for path in "GRASP" "NSD --sparse"; do
+      rc=0
+      # $path is unquoted on purpose: "NSD --sparse" is two arguments.
+      GRAPHALIGN_FAILPOINTS="$site=$mode" timeout 120 \
+        "$TOOL" align --g1 "$WORK/g1.txt" --g2 "$WORK/g2.txt" \
+        --algo $path --isolate > "$WORK/cell.out" 2> "$WORK/cell.err" || rc=$?
+      check_typed_exit "$rc" "$site=$mode ($path)" || {
+        cat "$WORK/cell.out" "$WORK/cell.err" >&2; exit 1; }
+    done
   done
 done
 echo "all $(echo "$SITES" | wc -l) sites yielded typed outcomes"
