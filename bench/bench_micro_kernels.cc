@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the numerical and combinatorial
 // kernels underneath the alignment algorithms: LAP solvers, eigensolvers,
-// SVD, Sinkhorn, sparse products, generators, and graphlet counting.
+// SVD, Sinkhorn, dense and sparse products, generators, and graphlet
+// counting.
 #include <benchmark/benchmark.h>
 
 #include "assignment/assignment.h"
@@ -104,7 +105,65 @@ void BM_Sinkhorn(benchmark::State& state) {
     benchmark::DoNotOptimize(t);
   }
 }
-BENCHMARK(BM_Sinkhorn)->Arg(128)->Arg(512);
+BENCHMARK(BM_Sinkhorn)->Arg(128)->Arg(256)->Arg(512);
+
+// The plain-path projection loop alone: 50 scaling iterations of a positive
+// n x n kernel, with the early stop disabled. BM_Sinkhorn also times forming
+// exp(-C/eps) and stops as soon as it converges.
+void BM_SinkhornProject(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  DenseMatrix kernel = RandomMatrix(n, n, 19);
+  auto mu = UniformMarginal(n);
+  for (auto _ : state) {
+    auto t = SinkhornProject(kernel, mu, mu, /*max_iters=*/50,
+                             /*tolerance=*/0.0);
+    benchmark::DoNotOptimize(t);
+  }
+}
+BENCHMARK(BM_SinkhornProject)->Arg(256);
+
+// C = A * B at CONE's T * Y2 shape: an n x n transport plan times n x d
+// embeddings.
+void BM_DenseMultiply(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int d = static_cast<int>(state.range(1));
+  DenseMatrix a = RandomMatrix(n, n, 13);
+  DenseMatrix b = RandomMatrix(n, d, 14);
+  for (auto _ : state) {
+    DenseMatrix c = Multiply(a, b);
+    benchmark::DoNotOptimize(c);
+  }
+}
+BENCHMARK(BM_DenseMultiply)->Args({256, 32});
+
+// C = A * B^T at CONE's cost-pass shape: dot products of n rotated source
+// embeddings against n target embeddings of dimension d.
+void BM_MultiplyABt(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int d = static_cast<int>(state.range(1));
+  DenseMatrix a = RandomMatrix(n, d, 15);
+  DenseMatrix b = RandomMatrix(n, d, 16);
+  for (auto _ : state) {
+    DenseMatrix c = MultiplyABt(a, b);
+    benchmark::DoNotOptimize(c);
+  }
+}
+BENCHMARK(BM_MultiplyABt)->Args({256, 32});
+
+// X * A for sparse A, the (Cs T) Ct product of every GW gradient.
+void BM_CsrRightMultiplied(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(17);
+  auto g = PowerlawCluster(n, 5, 0.5, &rng);
+  GA_CHECK(g.ok());
+  const CsrMatrix adj = g->AdjacencyCsr();
+  DenseMatrix x = RandomMatrix(n, n, 18);
+  for (auto _ : state) {
+    DenseMatrix c = adj.RightMultiplied(x);
+    benchmark::DoNotOptimize(c);
+  }
+}
+BENCHMARK(BM_CsrRightMultiplied)->Arg(256);
 
 void BM_SpMMDense(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -111,8 +111,9 @@ Result<DenseMatrix> ConeAligner::AlignedEmbeddings(const Graph& g1,
     // O(n1 n2 d), so the overshoot is bounded by a single alternation.
     GA_RETURN_IF_EXPIRED(deadline, "CONE");
     DenseMatrix y1q = Multiply(y1, q);  // n1 x d
-    // Cost: squared Euclidean distances.
-    DenseMatrix cost(n1, n2);
+    // Cost: squared Euclidean distances |a|^2 + |b|^2 - 2 a.b, with the dot
+    // products from MultiplyABt overwritten in place.
+    DenseMatrix cost = MultiplyABt(y1q, y2);
     std::vector<double> norm2(n2, 0.0);
     for (int v = 0; v < n2; ++v) {
       const double* row = y2.Row(v);
@@ -124,14 +125,9 @@ Result<DenseMatrix> ConeAligner::AlignedEmbeddings(const Graph& g1,
         double na = 0.0;
         for (int j = 0; j < d; ++j) na += a[j] * a[j];
         double* crow = cost.Row(u);
-        for (int v = 0; v < n2; ++v) {
-          const double* b = y2.Row(v);
-          double dot = 0.0;
-          for (int j = 0; j < d; ++j) dot += a[j] * b[j];
-          crow[v] = na + norm2[v] - 2.0 * dot;
-        }
+        for (int v = 0; v < n2; ++v) crow[v] = na + norm2[v] - 2.0 * crow[v];
       }
-    }, std::max<int64_t>(2, 500'000 / (static_cast<int64_t>(n2) * d + 1)));
+    }, std::max<int64_t>(2, 500'000 / (static_cast<int64_t>(n2) + 1)));
     // Normalize the cost scale so epsilon is a relative regularization
     // strength regardless of embedding magnitude.
     const double cost_scale = cost.Sum() / (static_cast<double>(n1) * n2);

@@ -94,8 +94,8 @@ Result<DenseMatrix> GromovWassersteinTransport(
     GA_RETURN_IF_EXPIRED(deadline, "GW transport");
     DenseMatrix grad = GwGradient(cs, cs2, ct, ct2, mu, nu, t);
     if (extra_cost != nullptr) grad.Axpy(1.0, *extra_cost);
-    // Proximal kernel K = T .* exp(-grad/beta), stabilized by the row-wise
-    // gradient minimum.
+    // Proximal kernel K = T .* exp(-grad/beta), stabilized by subtracting
+    // the global gradient minimum (one shift for the whole matrix).
     double gmin = grad(0, 0);
     for (int i = 0; i < n1; ++i) {
       const double* grow = grad.Row(i);
@@ -116,9 +116,13 @@ Result<DenseMatrix> GromovWassersteinTransport(
         DenseMatrix next,
         SinkhornProject(kernel, mu, nu, options.sinkhorn_iterations,
                         /*tolerance=*/1e-6, deadline));
-    DenseMatrix delta = next;
-    delta.Axpy(-1.0, t);
-    const double change = delta.MaxAbs();
+    // Largest entrywise change of the plan, max |next - t|.
+    double change = 0.0;
+    const double* np = next.data();
+    const double* tp = t.data();
+    for (size_t i = 0; i < t.size(); ++i) {
+      change = std::max(change, std::fabs(np[i] - tp[i]));
+    }
     t = std::move(next);
     if (change < options.tolerance) break;
   }

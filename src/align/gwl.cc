@@ -49,17 +49,22 @@ void UpdateEmbeddings(const DenseMatrix& t, DenseMatrix* x1,
                       const DenseMatrix& x2, double lr) {
   const int n1 = x1->rows();
   const int d = x1->cols();
+  std::vector<double> target(d);
   for (int i = 0; i < n1; ++i) {
     const double* trow = t.Row(i);
     double mass = 0.0;
     for (int j = 0; j < x2.rows(); ++j) mass += trow[j];
     if (mass <= 0.0) continue;
+    // Sweep rows of x2; each target[k] still sums over ascending j.
+    std::fill(target.begin(), target.end(), 0.0);
+    for (int j = 0; j < x2.rows(); ++j) {
+      const double tj = trow[j];
+      const double* x2row = x2.Row(j);
+      for (int k = 0; k < d; ++k) target[k] += tj * x2row[k];
+    }
     double* xrow = x1->Row(i);
     for (int k = 0; k < d; ++k) {
-      double target = 0.0;
-      for (int j = 0; j < x2.rows(); ++j) target += trow[j] * x2(j, k);
-      target /= mass;
-      xrow[k] = (1.0 - lr) * xrow[k] + lr * target;
+      xrow[k] = (1.0 - lr) * xrow[k] + lr * (target[k] / mass);
     }
   }
 }

@@ -139,7 +139,45 @@ DenseMatrix CsrMatrix::RightMultiplied(const DenseMatrix& x) const {
   ParallelFor(
       x.rows(),
       [&](int64_t lo, int64_t hi) {
-        for (int i = static_cast<int>(lo); i < hi; ++i) {
+        int i = static_cast<int>(lo);
+        // Four rows of X share each sparse row's index/value loads. Every
+        // output entry still adds its terms in ascending r, and a zero x
+        // value still skips its term (0 * inf would be NaN).
+        for (; i + 4 <= hi; i += 4) {
+          const double* x0 = x.Row(i);
+          const double* x1 = x.Row(i + 1);
+          const double* x2 = x.Row(i + 2);
+          const double* x3 = x.Row(i + 3);
+          double* c0 = c.Row(i);
+          double* c1 = c.Row(i + 1);
+          double* c2 = c.Row(i + 2);
+          double* c3 = c.Row(i + 3);
+          for (int r = 0; r < rows_; ++r) {
+            const double v0 = x0[r], v1 = x1[r], v2 = x2[r], v3 = x3[r];
+            const int64_t begin = row_ptr_[r];
+            const int64_t end = row_ptr_[r + 1];
+            if (v0 != 0.0 && v1 != 0.0 && v2 != 0.0 && v3 != 0.0) {
+              for (int64_t k = begin; k < end; ++k) {
+                const int col = col_idx_[k];
+                const double val = values_[k];
+                c0[col] += v0 * val;
+                c1[col] += v1 * val;
+                c2[col] += v2 * val;
+                c3[col] += v3 * val;
+              }
+              continue;
+            }
+            double* const crows[4] = {c0, c1, c2, c3};
+            const double xvs[4] = {v0, v1, v2, v3};
+            for (int q = 0; q < 4; ++q) {
+              if (xvs[q] == 0.0) continue;
+              for (int64_t k = begin; k < end; ++k) {
+                crows[q][col_idx_[k]] += xvs[q] * values_[k];
+              }
+            }
+          }
+        }
+        for (; i < hi; ++i) {
           const double* xrow = x.Row(i);
           double* crow = c.Row(i);
           for (int r = 0; r < rows_; ++r) {

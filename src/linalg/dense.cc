@@ -74,25 +74,98 @@ void DenseMatrix::SetCol(int c, const std::vector<double>& v) {
   for (int r = 0; r < rows_; ++r) (*this)(r, c) = v[r];
 }
 
+namespace {
+
+// C(i, :) += A(i, :) * B in i-k-j order, skipping zero a(i, k): streams
+// through rows of B, and a sparse row of A costs only its nonzeros.
+void MultiplyRow(const DenseMatrix& a, const DenseMatrix& b, int i,
+                 DenseMatrix* c) {
+  double* crow = c->Row(i);
+  const double* arow = a.Row(i);
+  for (int k = 0; k < a.cols(); ++k) {
+    const double aik = arow[k];
+    if (aik == 0.0) continue;
+    const double* brow = b.Row(k);
+    for (int j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
+  }
+}
+
+// Rows [i, i+4) of C = A * B for four rows of A that hold no zero: 4x4
+// tiles of C in sixteen accumulators, k innermost. Each entry adds
+// a(r, k) * b(k, j) in ascending k, as MultiplyRow does; with no zero in A
+// there is no term to skip. Columns past the last full tile take the i-k-j
+// loop.
+void MultiplyFourDenseRows(const DenseMatrix& a, const DenseMatrix& b, int i,
+                           DenseMatrix* c) {
+  const int inner = a.cols();
+  const int cols = b.cols();
+  const double* a0 = a.Row(i);
+  const double* a1 = a.Row(i + 1);
+  const double* a2 = a.Row(i + 2);
+  const double* a3 = a.Row(i + 3);
+  double* c0 = c->Row(i);
+  double* c1 = c->Row(i + 1);
+  double* c2 = c->Row(i + 2);
+  double* c3 = c->Row(i + 3);
+  int j = 0;
+  for (; j + 4 <= cols; j += 4) {
+    double t00 = 0.0, t01 = 0.0, t02 = 0.0, t03 = 0.0;
+    double t10 = 0.0, t11 = 0.0, t12 = 0.0, t13 = 0.0;
+    double t20 = 0.0, t21 = 0.0, t22 = 0.0, t23 = 0.0;
+    double t30 = 0.0, t31 = 0.0, t32 = 0.0, t33 = 0.0;
+    for (int k = 0; k < inner; ++k) {
+      const double* bk = b.Row(k) + j;
+      const double b0 = bk[0], b1 = bk[1], b2 = bk[2], b3 = bk[3];
+      const double x0 = a0[k], x1 = a1[k], x2 = a2[k], x3 = a3[k];
+      t00 += x0 * b0; t01 += x0 * b1; t02 += x0 * b2; t03 += x0 * b3;
+      t10 += x1 * b0; t11 += x1 * b1; t12 += x1 * b2; t13 += x1 * b3;
+      t20 += x2 * b0; t21 += x2 * b1; t22 += x2 * b2; t23 += x2 * b3;
+      t30 += x3 * b0; t31 += x3 * b1; t32 += x3 * b2; t33 += x3 * b3;
+    }
+    c0[j] = t00; c0[j + 1] = t01; c0[j + 2] = t02; c0[j + 3] = t03;
+    c1[j] = t10; c1[j + 1] = t11; c1[j + 2] = t12; c1[j + 3] = t13;
+    c2[j] = t20; c2[j + 1] = t21; c2[j + 2] = t22; c2[j + 3] = t23;
+    c3[j] = t30; c3[j + 1] = t31; c3[j + 2] = t32; c3[j + 3] = t33;
+  }
+  for (int r = i; r < i + 4; ++r) {
+    const double* arow = a.Row(r);
+    double* crow = c->Row(r);
+    for (int k = 0; k < inner; ++k) {
+      const double* brow = b.Row(k);
+      for (int jj = j; jj < cols; ++jj) crow[jj] += arow[k] * brow[jj];
+    }
+  }
+}
+
+bool HasZero(const double* row, int n) {
+  return std::find(row, row + n, 0.0) != row + n;
+}
+
+}  // namespace
+
 DenseMatrix Multiply(const DenseMatrix& a, const DenseMatrix& b) {
   GA_CHECK(a.cols() == b.rows());
   DenseMatrix c(a.rows(), b.cols());
   const int64_t flops_per_row =
       static_cast<int64_t>(a.cols()) * b.cols() + 1;
-  // i-k-j order: streams through rows of B, good locality for row-major.
   ParallelFor(
       a.rows(),
       [&](int64_t lo, int64_t hi) {
-        for (int i = static_cast<int>(lo); i < hi; ++i) {
-          double* crow = c.Row(i);
-          const double* arow = a.Row(i);
-          for (int k = 0; k < a.cols(); ++k) {
-            const double aik = arow[k];
-            if (aik == 0.0) continue;
-            const double* brow = b.Row(k);
-            for (int j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
+        int i = static_cast<int>(lo);
+        // Four rows of A with no zero take the register tiles. A zero
+        // coefficient must stay skipped (0 * inf is NaN, not a no-op), and
+        // mostly-zero rows are cheapest as i-k-j, so any other row block
+        // takes MultiplyRow.
+        for (; i + 4 <= hi; i += 4) {
+          const int n = a.cols();
+          if (!HasZero(a.Row(i), n) && !HasZero(a.Row(i + 1), n) &&
+              !HasZero(a.Row(i + 2), n) && !HasZero(a.Row(i + 3), n)) {
+            MultiplyFourDenseRows(a, b, i, &c);
+          } else {
+            for (int r = i; r < i + 4; ++r) MultiplyRow(a, b, r, &c);
           }
         }
+        for (; i < hi; ++i) MultiplyRow(a, b, i, &c);
       },
       /*min_work=*/std::max<int64_t>(2, 1'000'000 / flops_per_row));
   return c;
@@ -133,7 +206,53 @@ DenseMatrix MultiplyABt(const DenseMatrix& a, const DenseMatrix& b) {
   ParallelFor(
       a.rows(),
       [&](int64_t lo, int64_t hi) {
-        for (int i = static_cast<int>(lo); i < hi; ++i) {
+        int i = static_cast<int>(lo);
+        // Four rows of A against four rows of B: sixteen independent dot
+        // products, each still summing in ascending k.
+        for (; i + 4 <= hi; i += 4) {
+          const double* a0 = a.Row(i);
+          const double* a1 = a.Row(i + 1);
+          const double* a2 = a.Row(i + 2);
+          const double* a3 = a.Row(i + 3);
+          double* c0 = c.Row(i);
+          double* c1 = c.Row(i + 1);
+          double* c2 = c.Row(i + 2);
+          double* c3 = c.Row(i + 3);
+          int j = 0;
+          for (; j + 4 <= b.rows(); j += 4) {
+            const double* b0 = b.Row(j);
+            const double* b1 = b.Row(j + 1);
+            const double* b2 = b.Row(j + 2);
+            const double* b3 = b.Row(j + 3);
+            double t00 = 0.0, t01 = 0.0, t02 = 0.0, t03 = 0.0;
+            double t10 = 0.0, t11 = 0.0, t12 = 0.0, t13 = 0.0;
+            double t20 = 0.0, t21 = 0.0, t22 = 0.0, t23 = 0.0;
+            double t30 = 0.0, t31 = 0.0, t32 = 0.0, t33 = 0.0;
+            for (int k = 0; k < a.cols(); ++k) {
+              const double x0 = a0[k], x1 = a1[k], x2 = a2[k], x3 = a3[k];
+              const double y0 = b0[k], y1 = b1[k], y2 = b2[k], y3 = b3[k];
+              t00 += x0 * y0; t01 += x0 * y1; t02 += x0 * y2; t03 += x0 * y3;
+              t10 += x1 * y0; t11 += x1 * y1; t12 += x1 * y2; t13 += x1 * y3;
+              t20 += x2 * y0; t21 += x2 * y1; t22 += x2 * y2; t23 += x2 * y3;
+              t30 += x3 * y0; t31 += x3 * y1; t32 += x3 * y2; t33 += x3 * y3;
+            }
+            c0[j] = t00; c0[j + 1] = t01; c0[j + 2] = t02; c0[j + 3] = t03;
+            c1[j] = t10; c1[j + 1] = t11; c1[j + 2] = t12; c1[j + 3] = t13;
+            c2[j] = t20; c2[j + 1] = t21; c2[j + 2] = t22; c2[j + 3] = t23;
+            c3[j] = t30; c3[j + 1] = t31; c3[j + 2] = t32; c3[j + 3] = t33;
+          }
+          // Rows of B past the last full tile: one dot product per entry.
+          for (; j < b.rows(); ++j) {
+            const double* brow = b.Row(j);
+            for (int r = 0; r < 4; ++r) {
+              const double* arow = a.Row(i + r);
+              double acc = 0.0;
+              for (int k = 0; k < a.cols(); ++k) acc += arow[k] * brow[k];
+              c.Row(i + r)[j] = acc;
+            }
+          }
+        }
+        for (; i < hi; ++i) {
           const double* arow = a.Row(i);
           double* crow = c.Row(i);
           for (int j = 0; j < b.rows(); ++j) {

@@ -156,27 +156,48 @@ Result<DenseMatrix> SinkhornProject(const DenseMatrix& kernel,
   }
   std::vector<double> a(n, 1.0);
   std::vector<double> b(m, 1.0);
-  std::vector<double> kb(n), ka(m);
+  std::vector<double> ka(m);
   constexpr double kTiny = 1e-300;
 
   DeadlineChecker checker(deadline, /*stride=*/8);
   for (int iter = 0; iter < max_iters; ++iter) {
     GA_RETURN_IF_EXPIRED(checker, "SinkhornProject");
-    // a = mu / (K b)
-    for (int i = 0; i < n; ++i) {
-      double s = 0.0;
-      const double* krow = kernel.Row(i);
-      for (int j = 0; j < m; ++j) s += krow[j] * b[j];
-      kb[i] = s;
-      a[i] = mu[i] / std::max(s, kTiny);
-    }
-    // b = nu / (K^T a)
+    // One pass over K per iteration: a = mu / (K b) for four rows at a time,
+    // then those rows' terms of ka = K^T a while they are still in cache.
+    // Each (K b)_i sums in ascending j and each ka_j in ascending i, exactly
+    // as two separate passes would (DESIGN.md §7).
     std::fill(ka.begin(), ka.end(), 0.0);
-    for (int i = 0; i < n; ++i) {
+    int i = 0;
+    for (; i + 4 <= n; i += 4) {
+      const double* k0 = kernel.Row(i);
+      const double* k1 = kernel.Row(i + 1);
+      const double* k2 = kernel.Row(i + 2);
+      const double* k3 = kernel.Row(i + 3);
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      for (int j = 0; j < m; ++j) {
+        const double bj = b[j];
+        s0 += k0[j] * bj;
+        s1 += k1[j] * bj;
+        s2 += k2[j] * bj;
+        s3 += k3[j] * bj;
+      }
+      const double a0 = a[i] = mu[i] / std::max(s0, kTiny);
+      const double a1 = a[i + 1] = mu[i + 1] / std::max(s1, kTiny);
+      const double a2 = a[i + 2] = mu[i + 2] / std::max(s2, kTiny);
+      const double a3 = a[i + 3] = mu[i + 3] / std::max(s3, kTiny);
+      for (int j = 0; j < m; ++j) {
+        ka[j] = (((ka[j] + k0[j] * a0) + k1[j] * a1) + k2[j] * a2) +
+                k3[j] * a3;
+      }
+    }
+    for (; i < n; ++i) {
       const double* krow = kernel.Row(i);
-      const double ai = a[i];
+      double s = 0.0;
+      for (int j = 0; j < m; ++j) s += krow[j] * b[j];
+      const double ai = a[i] = mu[i] / std::max(s, kTiny);
       for (int j = 0; j < m; ++j) ka[j] += krow[j] * ai;
     }
+    // b = nu / (K^T a)
     double err = 0.0;
     for (int j = 0; j < m; ++j) {
       err += std::fabs(ka[j] * b[j] - nu[j]);

@@ -22,7 +22,8 @@ struct SinkhornOptions {
 // Minimizes <C, T> - eps * H(T) over couplings T with marginals (mu, nu).
 // C is n x m; mu has length n, nu length m, both summing to ~1.
 // Returns the transport plan T (n x m). Numerically stabilized by shifting
-// each row of C by its minimum before exponentiation.
+// all of C by its global minimum before exponentiation, which keeps the
+// kernel in (0, 1].
 Result<DenseMatrix> SinkhornTransport(const DenseMatrix& cost,
                                       const std::vector<double>& mu,
                                       const std::vector<double>& nu,

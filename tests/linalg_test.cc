@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -483,6 +486,204 @@ TEST(KdTreeTest, ExactPointFound) {
   auto nn = tree.Nearest(q.data());
   EXPECT_EQ(nn.index, 1);
   EXPECT_NEAR(nn.distance, 0.0, 1e-12);
+}
+
+
+// Bit-exact references. The kernels below interleave rows and keep register
+// tiles, but each accumulator must add the same terms in the same order as
+// these straightforward loops (DESIGN.md §7), so results are compared with
+// memcmp, not with a tolerance.
+
+bool SameBytes(const DenseMatrix& x, const DenseMatrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+DenseMatrix RandomDense(int rows, int cols, uint64_t seed,
+                        double zero_frac = 0.0) {
+  Rng rng(seed);
+  DenseMatrix m(rows, cols);
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < cols; ++j) {
+      const double v = rng.Uniform() - 0.5;
+      m(i, j) = rng.Uniform() < zero_frac ? 0.0 : v;
+    }
+  }
+  return m;
+}
+
+// The plain (non-log) Sinkhorn path as two separate passes per iteration.
+DenseMatrix ReferenceSinkhornProject(const DenseMatrix& kernel,
+                                     const std::vector<double>& mu,
+                                     const std::vector<double>& nu,
+                                     int max_iters, double tolerance) {
+  const int n = kernel.rows();
+  const int m = kernel.cols();
+  std::vector<double> a(n, 1.0), b(m, 1.0), ka(m);
+  constexpr double kTiny = 1e-300;
+  for (int iter = 0; iter < max_iters; ++iter) {
+    for (int i = 0; i < n; ++i) {
+      double s = 0.0;
+      for (int j = 0; j < m; ++j) s += kernel(i, j) * b[j];
+      a[i] = mu[i] / std::max(s, kTiny);
+    }
+    std::fill(ka.begin(), ka.end(), 0.0);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < m; ++j) ka[j] += kernel(i, j) * a[i];
+    }
+    double err = 0.0;
+    for (int j = 0; j < m; ++j) {
+      err += std::fabs(ka[j] * b[j] - nu[j]);
+      b[j] = nu[j] / std::max(ka[j], kTiny);
+    }
+    if (err < tolerance) break;
+  }
+  DenseMatrix t(n, m);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < m; ++j) t(i, j) = a[i] * kernel(i, j) * b[j];
+  }
+  return t;
+}
+
+// C = A * B in i-k-j order, skipping zero entries of A.
+DenseMatrix ReferenceMultiply(const DenseMatrix& a, const DenseMatrix& b) {
+  DenseMatrix c(a.rows(), b.cols());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int k = 0; k < a.cols(); ++k) {
+      if (a(i, k) == 0.0) continue;
+      for (int j = 0; j < b.cols(); ++j) c(i, j) += a(i, k) * b(k, j);
+    }
+  }
+  return c;
+}
+
+// C = A * B^T, one dot product per entry.
+DenseMatrix ReferenceMultiplyABt(const DenseMatrix& a, const DenseMatrix& b) {
+  DenseMatrix c(a.rows(), b.rows());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < b.rows(); ++j) {
+      double s = 0.0;
+      for (int k = 0; k < a.cols(); ++k) s += a(i, k) * b(j, k);
+      c(i, j) = s;
+    }
+  }
+  return c;
+}
+
+// C = X * M for CSR M, scattering sparse row r per row of X, skipping zero
+// entries of X.
+DenseMatrix ReferenceRightMultiplied(const CsrMatrix& m, const DenseMatrix& x) {
+  DenseMatrix c(x.rows(), m.cols());
+  for (int i = 0; i < x.rows(); ++i) {
+    for (int r = 0; r < m.rows(); ++r) {
+      const double xv = x(i, r);
+      if (xv == 0.0) continue;
+      for (int64_t k = m.row_ptr()[r]; k < m.row_ptr()[r + 1]; ++k) {
+        c(i, m.col_idx()[k]) += xv * m.values()[k];
+      }
+    }
+  }
+  return c;
+}
+
+TEST(BitExactKernelTest, SinkhornProjectMatchesReference) {
+  for (int n : {1, 2, 3, 5, 7, 130}) {
+    for (int m : {1, 2, 9, 130}) {
+      for (double tolerance : {0.0, 1e-6}) {
+        SCOPED_TRACE(testing::Message() << n << "x" << m << " tol "
+                                        << tolerance);
+        Rng rng(1000 + 7 * n + m);
+        DenseMatrix kernel(n, m);
+        for (int i = 0; i < n; ++i) {
+          for (int j = 0; j < m; ++j) kernel(i, j) = 0.05 + rng.Uniform();
+        }
+        const std::vector<double> mu = UniformMarginal(n);
+        const std::vector<double> nu = UniformMarginal(m);
+        bool used_log = true;
+        auto t = SinkhornProject(kernel, mu, nu, /*max_iters=*/50, tolerance,
+                                 Deadline(), &used_log);
+        ASSERT_TRUE(t.ok());
+        EXPECT_FALSE(used_log);
+        EXPECT_TRUE(SameBytes(
+            *t, ReferenceSinkhornProject(kernel, mu, nu, 50, tolerance)));
+      }
+    }
+  }
+}
+
+TEST(BitExactKernelTest, MultiplyMatchesReferenceWithZerosAndTails) {
+  // No zeros (every full row block is tiled), a few (tiled and skipping
+  // blocks mixed) and many (most blocks skip).
+  for (double zero_frac : {0.0, 0.01, 0.3}) {
+    for (int rows : {1, 3, 4, 5, 8, 130}) {
+      for (int inner : {1, 7, 32}) {
+        for (int cols : {1, 3, 4, 6, 32, 33}) {
+          SCOPED_TRACE(testing::Message() << rows << "x" << inner << "x"
+                                          << cols << " zeros " << zero_frac);
+          const DenseMatrix a =
+              RandomDense(rows, inner, 10 + rows + inner, zero_frac);
+          const DenseMatrix b = RandomDense(inner, cols, 20 + inner + cols);
+          EXPECT_TRUE(SameBytes(Multiply(a, b), ReferenceMultiply(a, b)));
+        }
+      }
+    }
+  }
+}
+
+TEST(BitExactKernelTest, MultiplySkipsZeroCoefficientsAgainstInf) {
+  // Column 2 of A is zero exactly where row 2 of B holds inf: a skipped
+  // term keeps C finite, while 0 * inf would poison it with NaN.
+  DenseMatrix a = RandomDense(9, 5, 31, /*zero_frac=*/0.2);
+  DenseMatrix b = RandomDense(5, 7, 32);
+  for (int i = 0; i < a.rows(); ++i) a(i, 2) = 0.0;
+  for (int j = 0; j < b.cols(); ++j) {
+    b(2, j) = std::numeric_limits<double>::infinity();
+  }
+  const DenseMatrix c = Multiply(a, b);
+  for (size_t k = 0; k < c.size(); ++k) {
+    EXPECT_TRUE(std::isfinite(c.data()[k]));
+  }
+  EXPECT_TRUE(SameBytes(c, ReferenceMultiply(a, b)));
+}
+
+TEST(BitExactKernelTest, MultiplyABtMatchesReference) {
+  for (int rows : {1, 3, 4, 7, 130}) {
+    for (int inner : {1, 5, 32}) {
+      for (int cols : {1, 2, 9, 130}) {
+        SCOPED_TRACE(testing::Message() << rows << "x" << inner << "x"
+                                        << cols);
+        const DenseMatrix a = RandomDense(rows, inner, 40 + rows);
+        const DenseMatrix b = RandomDense(cols, inner, 50 + cols);
+        EXPECT_TRUE(SameBytes(MultiplyABt(a, b), ReferenceMultiplyABt(a, b)));
+      }
+    }
+  }
+}
+
+TEST(BitExactKernelTest, RightMultipliedMatchesReferenceWithZeros) {
+  for (int k : {0, 1, 32}) {
+    const int xrows = 4 * k + 3;
+    SCOPED_TRACE(testing::Message() << "x rows " << xrows);
+    Rng rng(60 + k);
+    const int n = 23;
+    std::vector<Triplet> trip;
+    for (int r = 0; r < n; ++r) {
+      for (int c = 0; c < n; ++c) {
+        if (rng.Uniform() < 0.2) trip.push_back({r, c, rng.Uniform() - 0.5});
+      }
+    }
+    // Row 5 holds an inf that only a zero x value may meet: skipped, it
+    // leaves the result finite.
+    trip.push_back({5, 0, std::numeric_limits<double>::infinity()});
+    const CsrMatrix m = CsrMatrix::FromTriplets(n, n, std::move(trip));
+    DenseMatrix x = RandomDense(xrows, n, 70 + k, /*zero_frac=*/0.3);
+    for (int i = 0; i < xrows; ++i) x(i, 5) = 0.0;
+    const DenseMatrix c = m.RightMultiplied(x);
+    for (size_t q = 0; q < c.size(); ++q) {
+      EXPECT_TRUE(std::isfinite(c.data()[q]));
+    }
+    EXPECT_TRUE(SameBytes(c, ReferenceRightMultiplied(m, x)));
+  }
 }
 
 }  // namespace

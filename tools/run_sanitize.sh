@@ -8,9 +8,12 @@
 # into a hard failure. The record-log suite rides along for the same reason:
 # it replays every truncation and every bit flip of a small log. The
 # assignment suite rides along because it feeds NaN/inf matrices to every
-# extractor (an all-NaN row once made the Hungarian solver read p[-1]), and
-# the dense golden suite because the eigensolver, the graphlet enumerator and
-# the GRASP/CONE inner loops index raw row pointers.
+# extractor (an all-NaN row once made the Hungarian solver read p[-1]), the
+# dense golden suite because the eigensolver, the graphlet enumerator and
+# the GRASP/CONE inner loops index raw row pointers, and the linalg suite
+# because the row-interleaved Sinkhorn and the tiled dense and CSR products
+# index Row(i+1..i+3) with scalar tails, which its bit-exact cases drive at
+# every remainder of the row and column counts mod 4.
 #
 # Usage: tools/run_sanitize.sh [source-dir]
 # Exits 77 (the ctest SKIP_RETURN_CODE) when the toolchain cannot produce an
@@ -31,10 +34,10 @@ fi
 
 cmake -S "$SRC" -B "$BUILD" -DGRAPHALIGN_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-# Only the sparse, protocol fuzz, record-log, assignment and dense golden
-# suites, and their dependency closure — not the whole tree.
+# Only the sparse, protocol fuzz, record-log, assignment, dense golden and
+# linalg suites, and their dependency closure — not the whole tree.
 cmake --build "$BUILD" --target sparse_test protocol_fuzz_test \
-  record_log_test assignment_test dense_golden_test -j > /dev/null
+  record_log_test assignment_test dense_golden_test linalg_test -j > /dev/null
 
 # halt_on_error keeps the failure visible to ctest; detect_leaks stays on so
 # candidate buffers and solver scratch are leak-checked too.
@@ -48,3 +51,5 @@ ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/assignment_test"
 echo "assignment extractors are clean under AddressSanitizer"
 ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/dense_golden_test"
 echo "dense kernels are clean under AddressSanitizer"
+ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/linalg_test"
+echo "linalg kernels are clean under AddressSanitizer"
