@@ -23,6 +23,14 @@ class WallTimer {
   Clock::time_point start_;
 };
 
+// Seconds since `since` on the steady clock: the age of a stored
+// time_point (a queue entry, a running slot, a token bucket's last refill).
+inline double ElapsedSeconds(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       since)
+      .count();
+}
+
 }  // namespace graphalign
 
 #endif  // GRAPHALIGN_COMMON_TIMER_H_

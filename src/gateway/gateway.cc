@@ -1,12 +1,11 @@
 #include "gateway/gateway.h"
 
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cerrno>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
@@ -15,6 +14,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/socket.h"
+#include "common/timer.h"
 #include "gateway/json.h"
 #include "jobs/manager.h"
 #include "store/graph_store.h"
@@ -24,22 +25,6 @@ namespace graphalign {
 namespace {
 
 constexpr const char* kJsonType = "application/json";
-
-double ElapsedSeconds(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       since)
-      .count();
-}
-
-void SetSocketTimeouts(int fd, double seconds) {
-  if (seconds <= 0.0) return;
-  struct timeval tv;
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (seconds - static_cast<double>(tv.tv_sec)) * 1e6);
-  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
 
 // ---------------------------------------------------------------------------
 // JSON <-> protocol translation.
@@ -344,37 +329,11 @@ class Gateway::Impl {
       return Status::InvalidArgument(
           "gateway: max_connections must be positive");
     }
-    const int fd = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      return Status::Internal("socket() failed: " +
-                              std::string(strerror(errno)));
+    Result<int> fd = ListenLoopback(options_.http_port, &bound_port_);
+    if (!fd.ok()) {
+      return Status(fd.status().code(), "gateway " + fd.status().message());
     }
-    const int one = 1;
-    setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(options_.http_port));
-    if (bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      const std::string detail = strerror(errno);
-      close(fd);
-      return Status::Internal("gateway bind(127.0.0.1:" +
-                              std::to_string(options_.http_port) +
-                              ") failed: " + detail);
-    }
-    if (listen(fd, 64) != 0) {
-      const std::string detail = strerror(errno);
-      close(fd);
-      return Status::Internal("gateway listen() failed: " + detail);
-    }
-    socklen_t len = sizeof(addr);
-    if (getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len) ==
-        0) {
-      bound_port_ = ntohs(addr.sin_port);
-    }
-    listen_fd_ = fd;
+    listen_fd_ = *fd;
     return Status::Ok();
   }
 
@@ -462,10 +421,12 @@ class Gateway::Impl {
             ") reached; retry with backoff\"}";
         // The accept-time 503 carries the same Retry-After hint the daemon
         // attaches to its own transient rejections; clients treat both
-        // identically.
+        // identically. Best effort: the short response fits a fresh
+        // socket's send buffer, so this is one send() that never waits on
+        // the client.
         const std::string resp = EncodeHttpResponse(
             503, kJsonType, body, false, {{"Retry-After", "1"}});
-        (void)send(fd, resp.data(), resp.size(), MSG_NOSIGNAL);
+        (void)SendAll(fd, resp);
         close(fd);
       }
     }
@@ -500,19 +461,8 @@ class Gateway::Impl {
       const char* content_type = kJsonType,
       const std::vector<std::pair<std::string, std::string>>& extra_headers =
           {}) {
-    const std::string resp = EncodeHttpResponse(status, content_type, body,
-                                                keep_alive, extra_headers);
-    size_t off = 0;
-    while (off < resp.size()) {
-      const ssize_t n =
-          send(fd, resp.data() + off, resp.size() - off, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<size_t>(n);
-    }
-    return true;
+    return SendAll(fd, EncodeHttpResponse(status, content_type, body,
+                                          keep_alive, extra_headers));
   }
 
   static std::string ErrorBody(const char* status_name,

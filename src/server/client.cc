@@ -1,31 +1,12 @@
 #include "server/client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
+#include "common/socket.h"
+
 namespace graphalign {
-
-namespace {
-
-void SetTimeouts(int fd, double seconds) {
-  if (seconds <= 0.0) return;
-  struct timeval tv;
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec =
-      static_cast<suseconds_t>((seconds - static_cast<double>(tv.tv_sec)) * 1e6);
-  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-}  // namespace
 
 Result<Client> Client::Connect(const ClientOptions& options) {
   if (!options.socket_path.empty() && options.port >= 0) {
@@ -36,53 +17,14 @@ Result<Client> Client::Connect(const ClientOptions& options) {
     return Status::InvalidArgument(
         "client: a Unix socket path or a TCP port is required");
   }
-  int fd = -1;
-  if (!options.socket_path.empty()) {
-    struct sockaddr_un addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    if (options.socket_path.size() >= sizeof(addr.sun_path)) {
-      return Status::InvalidArgument("client: socket path too long: " +
-                                     options.socket_path);
-    }
-    std::strncpy(addr.sun_path, options.socket_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    fd = socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-      return Status::Internal("socket() failed: " +
-                              std::string(strerror(errno)));
-    }
-    if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-      const std::string detail = strerror(errno);
-      close(fd);
-      return Status::NotFound("cannot connect to " + options.socket_path +
-                              ": " + detail);
-    }
-  } else {
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(options.port));
-    if (inet_pton(AF_INET, options.host.c_str(), &addr.sin_addr) != 1) {
-      return Status::InvalidArgument(
-          "client: host must be a numeric IPv4 address, got " + options.host);
-    }
-    fd = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      return Status::Internal("socket() failed: " +
-                              std::string(strerror(errno)));
-    }
-    if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-      const std::string detail = strerror(errno);
-      close(fd);
-      return Status::NotFound("cannot connect to " + options.host + ":" +
-                              std::to_string(options.port) + ": " + detail);
-    }
+  Result<int> fd = options.socket_path.empty()
+                       ? ConnectTcp(options.host, options.port)
+                       : ConnectUnix(options.socket_path);
+  if (!fd.ok()) {
+    return Status(fd.status().code(), "client: " + fd.status().message());
   }
-  SetTimeouts(fd, options.timeout_seconds);
-  return Client(fd);
+  SetSocketTimeouts(*fd, options.timeout_seconds);
+  return Client(*fd);
 }
 
 Client::Client(Client&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }

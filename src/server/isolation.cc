@@ -18,6 +18,7 @@
 #include "common/deadline.h"
 #include "common/failpoint.h"
 #include "common/parallel.h"
+#include "common/socket.h"
 #include "common/timer.h"
 #include "common/wire.h"
 #include "metrics/metrics.h"
@@ -36,37 +37,18 @@ constexpr char kCancelTag = 'C';
 // the daemon gives up on the helper (which enforces the cap itself).
 constexpr double kHelperGraceSeconds = 10.0;
 
-bool SendAll(int fd, const char* data, size_t size) {
-  while (size > 0) {
-    // MSG_NOSIGNAL: a dead peer must yield EPIPE, not kill us by SIGPIPE.
-    const ssize_t n = send(fd, data, size, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    size -= static_cast<size_t>(n);
-  }
-  return true;
-}
-
 bool RecvAll(int fd, char* data, size_t size) {
-  while (size > 0) {
-    const ssize_t n = recv(fd, data, size, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    data += n;
-    size -= static_cast<size_t>(n);
-  }
-  return true;
+  const Result<size_t> got = RecvExact(fd, data, size);
+  return got.ok() && *got == size;
 }
 
 // One length-prefixed message: u64 length (host order; both ends are the
 // same binary) and the bytes.
 bool SendMessage(int fd, const std::string& body) {
   const uint64_t len = body.size();
-  return SendAll(fd, reinterpret_cast<const char*>(&len), sizeof(len)) &&
-         SendAll(fd, body.data(), body.size());
+  return SendAll(fd, std::string_view(reinterpret_cast<const char*>(&len),
+                                      sizeof(len))) &&
+         SendAll(fd, body);
 }
 
 bool RecvMessage(int fd, std::string* body) {
@@ -461,7 +443,7 @@ Status IsolationZygote::Spawn(IsolationHelper* helper) {
   bool lost = control_fd_ < 0;
   if (!lost) {
     const char cmd = 'S';
-    lost = !SendAll(control_fd_, &cmd, 1);
+    lost = !SendAll(control_fd_, std::string_view(&cmd, 1));
     if (!lost) helper->fd_ = RecvFd(control_fd_, &lost);
   }
   if (lost) return Status::Unavailable("isolation zygote lost");
@@ -488,7 +470,8 @@ Result<SubprocessResult> IsolationZygote::Run(IsolationHelper* helper,
       "isolation helper lost mid-request; the slot gets a fresh one");
   const int fd = helper->fd_;
   const char tag = kRequestTag;
-  if (!SendAll(fd, &tag, 1) || !SendMessage(fd, EncodeHelperRequest(req))) {
+  if (!SendAll(fd, std::string_view(&tag, 1)) ||
+      !SendMessage(fd, EncodeHelperRequest(req))) {
     helper->Close();
     return lost;
   }
@@ -506,7 +489,8 @@ Result<SubprocessResult> IsolationZygote::Run(IsolationHelper* helper,
     if (!cancel_sent && options.cancel && options.cancel()) {
       const char cancel = kCancelTag;
       cancel_sent = true;
-      if (!SendAll(fd, &cancel, 1)) break;  // The read below reports it.
+      // A failed send shows in the read below.
+      if (!SendAll(fd, std::string_view(&cancel, 1))) break;
     }
     if (backstop.Expired()) {
       helper->Close();

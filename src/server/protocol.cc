@@ -1,10 +1,9 @@
 #include "server/protocol.h"
 
-#include <sys/socket.h>
-#include <sys/types.h>
-
 #include <cerrno>
 #include <cstring>
+
+#include "common/socket.h"
 
 namespace graphalign {
 
@@ -151,22 +150,11 @@ std::string EncodeFrame(std::string_view payload) {
 
 Result<bool> ReadFrameFromFd(int fd, std::string* payload) {
   char header[kFrameHeaderBytes];
-  size_t got = 0;
-  while (got < sizeof(header)) {
-    const ssize_t n = recv(fd, header + got, sizeof(header) - got, 0);
-    if (n == 0) {
-      if (got == 0) return false;  // Clean close between frames.
-      return BadPayload("connection closed inside a frame header");
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::DeadlineExceeded("socket read timed out");
-      }
-      return Status::Internal("recv() failed: " +
-                              std::string(strerror(errno)));
-    }
-    got += static_cast<size_t>(n);
+  GA_ASSIGN_OR_RETURN(const size_t got,
+                      RecvExact(fd, header, sizeof(header)));
+  if (got == 0) return false;  // Clean close between frames.
+  if (got < sizeof(header)) {
+    return BadPayload("connection closed inside a frame header");
   }
   uint32_t len = 0;
   if (std::memcmp(header, kFrameMagic, sizeof(kFrameMagic)) != 0) {
@@ -180,37 +168,17 @@ Result<bool> ReadFrameFromFd(int fd, std::string* payload) {
                       std::to_string(kMaxFramePayload) + "-byte cap");
   }
   payload->resize(len);
-  size_t off = 0;
-  while (off < len) {
-    const ssize_t n = recv(fd, payload->data() + off, len - off, 0);
-    if (n == 0) return BadPayload("connection closed inside a frame body");
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::DeadlineExceeded("socket read timed out");
-      }
-      return Status::Internal("recv() failed: " +
-                              std::string(strerror(errno)));
-    }
-    off += static_cast<size_t>(n);
-  }
+  GA_ASSIGN_OR_RETURN(const size_t body, RecvExact(fd, payload->data(), len));
+  if (body < len) return BadPayload("connection closed inside a frame body");
   return true;
 }
 
 Status WriteFrameToFd(int fd, std::string_view payload) {
+  // One buffer, one SendAll: a header written apart from its body can
+  // stall on Nagle and delayed ACK over TCP.
   const std::string frame = EncodeFrame(payload);
-  size_t off = 0;
-  while (off < frame.size()) {
-    // MSG_NOSIGNAL: a peer that hung up must yield EPIPE, not kill the
-    // daemon with SIGPIPE.
-    const ssize_t n =
-        send(fd, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal("send() failed: " +
-                              std::string(strerror(errno)));
-    }
-    off += static_cast<size_t>(n);
+  if (!SendAll(fd, frame)) {
+    return Status::Internal("send() failed: " + std::string(strerror(errno)));
   }
   return Status::Ok();
 }

@@ -84,7 +84,9 @@ FrameStatus TryParseFrame(std::string_view buf, std::string* payload,
 // Wraps `payload` in a frame header. Payload must fit kMaxFramePayload.
 std::string EncodeFrame(std::string_view payload);
 
-// Blocking frame IO over a socket fd (SIGPIPE-safe; uses send/recv).
+// Blocking frame IO over a socket fd, through common/socket's SendAll and
+// RecvExact (no SIGPIPE, resumes on EINTR). WriteFrameToFd sends the whole
+// frame as one buffer, so header and body never leave as separate writes.
 // ReadFrameFromFd returns true with a frame, false on a clean peer close
 // before any byte, and a Status on truncation, bad magic, oversized or
 // empty frames, timeouts (DeadlineExceeded when the socket has a receive

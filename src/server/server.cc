@@ -1,9 +1,6 @@
 #include "server/server.h"
 
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -23,6 +20,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/socket.h"
 #include "common/timer.h"
 #include "jobs/manager.h"
 #include "metrics/metrics.h"
@@ -40,16 +38,6 @@ Alignment ToAlignment(const std::vector<int32_t>& wire) {
   return Alignment(wire.begin(), wire.end());
 }
 
-void SetSocketTimeouts(int fd, double seconds) {
-  if (seconds <= 0.0) return;
-  struct timeval tv;
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec =
-      static_cast<suseconds_t>((seconds - static_cast<double>(tv.tv_sec)) * 1e6);
-  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
 // Per-job alignment parameters, independent of how the graphs arrived
 // (inline, by-hash, or through a batch graph table).
 struct AlignSpec {
@@ -59,12 +47,6 @@ struct AlignSpec {
   uint64_t mem_limit_mb = 0;
   bool no_cache = false;
 };
-
-double ElapsedSeconds(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       since)
-      .count();
-}
 
 // Wall-clock Unix time for job journal timestamps (steady_clock cannot be
 // persisted across restarts).
@@ -81,6 +63,10 @@ uint64_t UnixMs() {
 constexpr uint64_t kBusyRetryAfterMs = 250;
 constexpr uint64_t kShedRetryAfterMs = 250;
 constexpr uint64_t kDrainRetryAfterMs = 1000;
+
+// Wall-clock backstop for an isolated align child whose request carries no
+// deadline.
+constexpr double kDefaultWallLimitSeconds = 300.0;
 
 // A job's stored terminal code is replayed from disk; map anything that is
 // not a known response code to a plain ERROR instead of leaking raw bytes
@@ -177,8 +163,15 @@ class Server::Impl {
     if (options_.cache_mb <= 0.0) {
       return Status::InvalidArgument("server: cache capacity must be positive");
     }
-    if (!options_.socket_path.empty()) return BindUnix();
-    return BindTcp();
+    Result<int> fd = options_.socket_path.empty()
+                         ? ListenLoopback(options_.port, &bound_port_)
+                         : ListenUnix(options_.socket_path);
+    if (!fd.ok()) {
+      return Status(fd.status().code(), "server: " + fd.status().message());
+    }
+    listen_fd_ = *fd;
+    bound_socket_path_ = options_.socket_path;
+    return Status::Ok();
   }
 
   Status Start() {
@@ -423,80 +416,6 @@ class Server::Impl {
   }
 
  private:
-  Status BindUnix() {
-    struct sockaddr_un addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    if (options_.socket_path.size() >= sizeof(addr.sun_path)) {
-      return Status::InvalidArgument(
-          "server: socket path longer than sockaddr_un allows (" +
-          std::to_string(sizeof(addr.sun_path) - 1) + " bytes): " +
-          options_.socket_path);
-    }
-    std::strncpy(addr.sun_path, options_.socket_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-      return Status::Internal("socket() failed: " +
-                              std::string(strerror(errno)));
-    }
-    // A stale socket file from a dead daemon would make bind fail; remove
-    // it. A *live* daemon still serving on the path loses its file but
-    // keeps its connections — running two daemons on one path is an
-    // operator error this cannot fully protect against.
-    unlink(options_.socket_path.c_str());
-    if (bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      const std::string detail = strerror(errno);
-      close(fd);
-      return Status::Internal("bind(" + options_.socket_path +
-                              ") failed: " + detail);
-    }
-    if (listen(fd, 64) != 0) {
-      const std::string detail = strerror(errno);
-      close(fd);
-      return Status::Internal("listen() failed: " + detail);
-    }
-    listen_fd_ = fd;
-    bound_socket_path_ = options_.socket_path;
-    return Status::Ok();
-  }
-
-  Status BindTcp() {
-    const int fd = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      return Status::Internal("socket() failed: " +
-                              std::string(strerror(errno)));
-    }
-    const int one = 1;
-    setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-    if (bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      const std::string detail = strerror(errno);
-      close(fd);
-      return Status::Internal("bind(127.0.0.1:" +
-                              std::to_string(options_.port) +
-                              ") failed: " + detail);
-    }
-    if (listen(fd, 64) != 0) {
-      const std::string detail = strerror(errno);
-      close(fd);
-      return Status::Internal("listen() failed: " + detail);
-    }
-    socklen_t len = sizeof(addr);
-    if (getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len) ==
-        0) {
-      bound_port_ = ntohs(addr.sin_port);
-    }
-    listen_fd_ = fd;
-    return Status::Ok();
-  }
-
   // -------------------------------------------------------------------------
   // Accept loop with admission control.
 
@@ -1208,7 +1127,7 @@ class Server::Impl {
         req.deadline_ms > 0
             ? 2.0 * static_cast<double>(req.deadline_ms) / 1000.0 +
                   options_.wall_slack_seconds
-            : options_.default_wall_limit_seconds;
+            : kDefaultWallLimitSeconds;
     // Arm the watchdog slot before dispatching: fields first, then the
     // release store the watchdog acquires them through.
     slot->deadline_ms =

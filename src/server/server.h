@@ -50,9 +50,8 @@ namespace graphalign {
 
 struct ServerOptions {
   // Exactly one transport: a Unix socket path (preferred for local use;
-  // must fit sockaddr_un, ~107 bytes), or a TCP port on 127.0.0.1 when
-  // socket_path is empty (port 0 = kernel-assigned; read it back from
-  // Server::port()).
+  // at most 107 bytes), or a TCP port on 127.0.0.1 when socket_path is
+  // empty (port 0 = kernel-assigned; read it back from Server::port()).
   std::string socket_path;
   int port = -1;
 
@@ -71,11 +70,10 @@ struct ServerOptions {
   double io_timeout_seconds = 30.0;
 
   // Wall-clock backstop for isolated align children: 2 * deadline +
-  // `wall_slack_seconds` when the request carries a deadline, else
-  // `default_wall_limit_seconds`. The backstop SIGKILLs non-cooperative
-  // hangs; cooperative overruns are caught by the Deadline well before it.
+  // `wall_slack_seconds` when the request carries a deadline, else a fixed
+  // 300 s. The backstop SIGKILLs non-cooperative hangs; cooperative
+  // overruns are caught by the Deadline well before it.
   double wall_slack_seconds = 30.0;
-  double default_wall_limit_seconds = 300.0;
 
   // Durable cache log directory (server/cache_store.h). Replayed at
   // startup (warm restart) and compacted there when more than half of it

@@ -39,9 +39,6 @@
 // Exit code: 0 when every response was *typed* (any code — overload
 // answers are correct behavior under chaos), 1 when transport errors or
 // bad arguments show the daemon actually failed its clients.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -55,7 +52,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/file_io.h"
 #include "common/random.h"
+#include "common/socket.h"
 #include "common/table.h"
 #include "common/timer.h"
 #include "gateway/json.h"
@@ -177,24 +176,9 @@ bool HttpCall(int port, const std::string& method, const std::string& target,
               std::string* status_name, bool* cache_hit) {
   *status_name = "TRANSPORT";
   *cache_hit = false;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  struct timeval tv;
-  tv.tv_sec = static_cast<time_t>(timeout_seconds);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (timeout_seconds - static_cast<double>(tv.tv_sec)) * 1e6);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return false;
-  }
+  const Result<int> fd = ConnectTcp("127.0.0.1", port);
+  if (!fd.ok()) return false;
+  SetSocketTimeouts(*fd, timeout_seconds);
   std::string request = method + " " + target + " HTTP/1.1\r\n" +
                         "Host: 127.0.0.1\r\nConnection: close\r\n";
   if (!body.empty()) {
@@ -203,28 +187,14 @@ bool HttpCall(int port, const std::string& method, const std::string& target,
   }
   request += "\r\n";
   request += body;
-  size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      ::close(fd);
-      return false;
-    }
-    sent += static_cast<size_t>(n);
+  if (!SendAll(*fd, request)) {
+    ::close(*fd);
+    return false;
   }
-  std::string reply;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n < 0) {
-      ::close(fd);
-      return false;
-    }
-    if (n == 0) break;
-    reply.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
+  const Result<std::string> received = ReadWholeFile(*fd);
+  ::close(*fd);
+  if (!received.ok()) return false;
+  const std::string& reply = *received;
   if (reply.size() < 12 || reply.compare(0, 5, "HTTP/") != 0) return false;
   *status_name = "HTTP_" + reply.substr(9, 3);
   const size_t split = reply.find("\r\n\r\n");

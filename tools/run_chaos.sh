@@ -19,6 +19,8 @@
 # Usage: tools/run_chaos.sh [path-to-graphalign-binary]
 set -euo pipefail
 
+source "$(dirname "$0")/daemon_lib.sh"
+
 TOOL="${1:-build/src/cli/graphalign}"
 if [[ ! -x "$TOOL" ]]; then
   echo "graphalign binary not found: $TOOL (build it first)" >&2
@@ -102,19 +104,8 @@ DAEMON_PID=$!
 # Readiness via the client's own --retries backoff (it also rides through
 # the armed once-BUSY); between rounds, fail fast with the daemon log if
 # the process died instead of burning the whole retry budget.
-up=0
-for _ in 1 2 3; do
-  if "$TOOL" submit --socket "$SOCK" --ping --retries 4 > /dev/null 2>&1; then
-    up=1
-    break
-  fi
-  kill -0 "$DAEMON_PID" 2> /dev/null || break
-done
-if [[ "$up" != 1 ]]; then
-  echo "daemon never answered despite retries (or died):" >&2
-  cat "$WORK/daemon.log" >&2
-  exit 1
-fi
+wait_for_daemon "$TOOL" "$SOCK" "$DAEMON_PID" "$WORK/daemon.log" \
+  "daemon never answered despite retries (or died):" || exit 1
 
 kill -TERM "$DAEMON_PID"
 for _ in $(seq 1 50); do
@@ -201,19 +192,8 @@ SOCK2="$WORK/ga-store.sock"
 "$TOOL" serve --socket "$SOCK2" --workers 1 \
   --store-dir "$WORK/g1.txt/not-a-dir" > "$WORK/daemon2.log" 2>&1 &
 DAEMON_PID=$!
-up=0
-for _ in 1 2 3; do
-  if "$TOOL" submit --socket "$SOCK2" --ping --retries 4 > /dev/null 2>&1; then
-    up=1
-    break
-  fi
-  kill -0 "$DAEMON_PID" 2> /dev/null || break
-done
-if [[ "$up" != 1 ]]; then
-  echo "daemon with unusable --store-dir never came up:" >&2
-  cat "$WORK/daemon2.log" >&2
-  exit 1
-fi
+wait_for_daemon "$TOOL" "$SOCK2" "$DAEMON_PID" "$WORK/daemon2.log" \
+  "daemon with unusable --store-dir never came up:" || exit 1
 grep -q "graph store disabled" "$WORK/daemon2.log" || {
   echo "daemon log missing the store-disabled notice:" >&2
   cat "$WORK/daemon2.log" >&2

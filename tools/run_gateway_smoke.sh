@@ -21,6 +21,8 @@
 # scratch); pass BENCH_gateway.json to refresh the checked-in copy.
 set -euo pipefail
 
+source "$(dirname "$0")/daemon_lib.sh"
+
 TOOL="${1:-build/src/cli/graphalign}"
 LOADGEN="${2:-build/src/loadgen}"
 if [[ ! -x "$TOOL" ]]; then
@@ -111,19 +113,8 @@ echo "== 1/5 serve --http-port: daemon + gateway, healthz =="
 "$TOOL" serve --socket "$SOCK" --workers 2 --store-dir "$STORE" \
   --http-port 0 > "$WORK/daemon.log" 2>&1 &
 DAEMON_PID=$!
-up=0
-for _ in 1 2 3; do
-  if "$TOOL" submit --socket "$SOCK" --ping --retries 4 > /dev/null 2>&1; then
-    up=1
-    break
-  fi
-  kill -0 "$DAEMON_PID" 2> /dev/null || break
-done
-if [[ "$up" != 1 ]]; then
-  echo "daemon never came up (or died during startup):" >&2
-  cat "$WORK/daemon.log" >&2
-  exit 1
-fi
+wait_for_daemon "$TOOL" "$SOCK" "$DAEMON_PID" "$WORK/daemon.log" \
+  "daemon never came up (or died during startup):" || exit 1
 # The daemon socket answers pings before the gateway line is flushed to
 # the log; poll briefly for the announced port.
 HTTP_PORT=""

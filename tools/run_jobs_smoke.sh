@@ -18,6 +18,8 @@
 # Usage: tools/run_jobs_smoke.sh [graphalign-binary]
 set -euo pipefail
 
+source "$(dirname "$0")/daemon_lib.sh"
+
 TOOL="${1:-build/src/cli/graphalign}"
 if [[ ! -x "$TOOL" ]]; then
   echo "graphalign binary not found: $TOOL (build it first)" >&2
@@ -78,20 +80,8 @@ start_daemon() {
     --store-dir "$STORE" --jobs-dir "$JOBS" --http-port 0 \
     > "$log" 2>&1 &
   DAEMON_PID=$!
-  local up=0
-  for _ in 1 2 3; do
-    if "$TOOL" submit --socket "$SOCK" --ping --retries 4 > /dev/null 2>&1
-    then
-      up=1
-      break
-    fi
-    kill -0 "$DAEMON_PID" 2> /dev/null || break
-  done
-  if [[ "$up" != 1 ]]; then
-    echo "daemon never came up (or died during startup):" >&2
-    cat "$log" >&2
-    exit 1
-  fi
+  wait_for_daemon "$TOOL" "$SOCK" "$DAEMON_PID" "$log" \
+    "daemon never came up (or died during startup):" || exit 1
   HTTP_PORT=""
   for _ in $(seq 1 50); do
     HTTP_PORT="$(sed -n \

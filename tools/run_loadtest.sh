@@ -22,6 +22,8 @@
 #   profile suitable for ctest.
 set -euo pipefail
 
+source "$(dirname "$0")/daemon_lib.sh"
+
 TOOL="${1:-build/src/cli/graphalign}"
 LOADGEN="${2:-build/src/loadgen}"
 PROFILE="${3:-}"
@@ -51,22 +53,10 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# Readiness via the client's own --retries backoff; fail fast with the
-# daemon log if the process died during startup.
+# Waits for the daemon on $SOCK (tools/daemon_lib.sh).
 wait_ready() {
-  local up=0
-  for _ in 1 2 3; do
-    if "$TOOL" submit --socket "$SOCK" --ping --retries 4 > /dev/null 2>&1; then
-      up=1
-      break
-    fi
-    kill -0 "$DAEMON_PID" 2> /dev/null || break
-  done
-  if [[ "$up" != 1 ]]; then
-    echo "daemon never came up (or died during startup):" >&2
-    cat "$WORK/daemon.log" >&2
-    return 1
-  fi
+  wait_for_daemon "$TOOL" "$SOCK" "$DAEMON_PID" "$WORK/daemon.log" \
+    "daemon never came up (or died during startup):"
 }
 
 stop_daemon_sigterm() {

@@ -13,7 +13,10 @@
 # the GRASP/CONE inner loops index raw row pointers, and the linalg suite
 # because the row-interleaved Sinkhorn and the tiled dense and CSR products
 # index Row(i+1..i+3) with scalar tails, which its bit-exact cases drive at
-# every remainder of the row and column counts mod 4.
+# every remainder of the row and column counts mod 4. The socket suite rides
+# along because common/socket's send and receive loops do pointer
+# arithmetic over caller buffers for every daemon, gateway and helper
+# connection.
 #
 # Usage: tools/run_sanitize.sh [source-dir]
 # Exits 77 (the ctest SKIP_RETURN_CODE) when the toolchain cannot produce an
@@ -34,10 +37,12 @@ fi
 
 cmake -S "$SRC" -B "$BUILD" -DGRAPHALIGN_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-# Only the sparse, protocol fuzz, record-log, assignment, dense golden and
-# linalg suites, and their dependency closure — not the whole tree.
+# Only the sparse, protocol fuzz, record-log, assignment, dense golden,
+# linalg and socket suites, and their dependency closure — not the whole
+# tree.
 cmake --build "$BUILD" --target sparse_test protocol_fuzz_test \
-  record_log_test assignment_test dense_golden_test linalg_test -j > /dev/null
+  record_log_test assignment_test dense_golden_test linalg_test socket_test \
+  -j > /dev/null
 
 # halt_on_error keeps the failure visible to ctest; detect_leaks stays on so
 # candidate buffers and solver scratch are leak-checked too.
@@ -53,3 +58,5 @@ ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/dense_golden_test"
 echo "dense kernels are clean under AddressSanitizer"
 ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/linalg_test"
 echo "linalg kernels are clean under AddressSanitizer"
+ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/socket_test"
+echo "socket module is clean under AddressSanitizer"

@@ -11,6 +11,8 @@
 # Usage: tools/run_server_smoke.sh [path-to-graphalign-binary]
 set -euo pipefail
 
+source "$(dirname "$0")/daemon_lib.sh"
+
 TOOL="${1:-build/src/cli/graphalign}"
 if [[ ! -x "$TOOL" ]]; then
   echo "graphalign binary not found: $TOOL (build it first)" >&2
@@ -40,23 +42,8 @@ echo "== 1/4 start the daemon =="
   > "$WORK/daemon.log" 2>&1 &
 DAEMON_PID=$!
 
-# Readiness: the client's own --retries loop (jittered exponential backoff
-# on connect failures) replaces shell sleep-polling; between rounds, check
-# the daemon is still alive so a crashed startup fails fast with its log
-# instead of spinning out the full retry budget.
-up=0
-for _ in 1 2 3; do
-  if "$TOOL" submit --socket "$SOCK" --ping --retries 4 > /dev/null 2>&1; then
-    up=1
-    break
-  fi
-  kill -0 "$DAEMON_PID" 2> /dev/null || break
-done
-if [[ "$up" != 1 ]]; then
-  echo "daemon never came up (or died during startup):" >&2
-  cat "$WORK/daemon.log" >&2
-  exit 1
-fi
+wait_for_daemon "$TOOL" "$SOCK" "$DAEMON_PID" "$WORK/daemon.log" \
+  "daemon never came up (or died during startup):" || exit 1
 
 echo "== 2/4 concurrent submits with a crashing request =="
 "$TOOL" submit --socket "$SOCK" --g1 "$WORK/g1.txt" --g2 "$WORK/g2.txt" \

@@ -15,6 +15,8 @@
 # scratch); pass bench/../BENCH_store.json to refresh the checked-in copy.
 set -euo pipefail
 
+source "$(dirname "$0")/daemon_lib.sh"
+
 TOOL="${1:-build/src/cli/graphalign}"
 if [[ ! -x "$TOOL" ]]; then
   echo "graphalign binary not found: $TOOL (build it first)" >&2
@@ -83,19 +85,8 @@ echo "== 3/4 daemon: submit-by-hash round trip =="
 "$TOOL" serve --socket "$SOCK" --workers 2 --store-dir "$STORE" \
   > "$WORK/daemon.log" 2>&1 &
 DAEMON_PID=$!
-up=0
-for _ in 1 2 3; do
-  if "$TOOL" submit --socket "$SOCK" --ping --retries 4 > /dev/null 2>&1; then
-    up=1
-    break
-  fi
-  kill -0 "$DAEMON_PID" 2> /dev/null || break
-done
-if [[ "$up" != 1 ]]; then
-  echo "daemon never came up (or died during startup):" >&2
-  cat "$WORK/daemon.log" >&2
-  exit 1
-fi
+wait_for_daemon "$TOOL" "$SOCK" "$DAEMON_PID" "$WORK/daemon.log" \
+  "daemon never came up (or died during startup):" || exit 1
 
 "$TOOL" submit --socket "$SOCK" --put-graph "$WORK/s1.txt" > "$WORK/put1.out"
 "$TOOL" submit --socket "$SOCK" --put-graph "$WORK/s2.txt" > "$WORK/put2.out"
