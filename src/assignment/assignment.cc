@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/failpoint.h"
 
@@ -50,22 +49,35 @@ Result<Alignment> SortGreedyAssign(const DenseMatrix& similarity,
     return Status::InvalidArgument("SortGreedyAssign: empty matrix");
   }
   GA_RETURN_IF_EXPIRED(deadline, "SortGreedyAssign");
-  // Sort flat indices by similarity, descending.
-  std::vector<int64_t> order(static_cast<size_t>(n) * m);
-  std::iota(order.begin(), order.end(), int64_t{0});
-  const double* data = similarity.data();
-  std::sort(order.begin(), order.end(),
-            [&](int64_t a, int64_t b) { return data[a] > data[b]; });
+  // Sort (value, row, column) records by value, descending. std::sort's
+  // moves depend only on comparison outcomes, so the order is the one an
+  // index sort comparing data[a] > data[b] gives, ties included.
+  struct Entry {
+    double value;
+    int row;
+    int col;
+  };
+  std::vector<Entry> order(static_cast<size_t>(n) * m);
+  for (int i = 0; i < n; ++i) {
+    const double* row = similarity.Row(i);
+    Entry* out = &order[static_cast<size_t>(i) * m];
+    for (int j = 0; j < m; ++j) out[j] = {row[j], i, j};
+  }
+  std::sort(order.begin(), order.end(), [](const Entry& a, const Entry& b) {
+    return a.value > b.value;
+  });
+  // The first poll follows the O(nm log nm) sort; the walk then polls once
+  // per 32 rows' worth of records.
+  DeadlineChecker checker(deadline, /*stride=*/32 * m);
   Alignment align(n, -1);
-  std::vector<bool> col_used(m, false);
+  std::vector<char> col_used(m, 0);
   int matched = 0;
   const int target = std::min(n, m);
-  for (int64_t idx : order) {
-    const int i = static_cast<int>(idx / m);
-    const int j = static_cast<int>(idx % m);
-    if (align[i] != -1 || col_used[j]) continue;
-    align[i] = j;
-    col_used[j] = true;
+  for (const Entry& e : order) {
+    GA_RETURN_IF_EXPIRED(checker, "SortGreedyAssign");
+    if (align[e.row] != -1 || col_used[e.col]) continue;
+    align[e.row] = e.col;
+    col_used[e.col] = 1;
     if (++matched == target) break;
   }
   return align;

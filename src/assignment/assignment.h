@@ -28,10 +28,11 @@ enum class AssignmentMethod {
 
 const char* AssignmentMethodName(AssignmentMethod method);
 
-// All extraction entry points accept an optional deadline: the O(n^3)
-// solvers (Hungarian, JV) poll it between augmentation phases and abort
-// with kDeadlineExceeded; the near-linear ones (NN, SG) check it once
-// up front. The default deadline never expires.
+// All extraction entry points accept an optional deadline and abort with
+// kDeadlineExceeded once it has passed: the O(n^3) solvers (Hungarian, JV)
+// poll it between augmentation phases; SG, O(nm log nm), polls it up front,
+// after its sort, and once per 32 rows' worth of its greedy walk; NN, one
+// O(nm) pass, checks it once up front. The default deadline never expires.
 
 // Per-row argmax. May assign the same target to several sources (the paper
 // notes NN yields many-to-one matchings).

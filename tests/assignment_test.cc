@@ -4,6 +4,7 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -223,6 +224,172 @@ TEST(AssignmentMethodTest, Names) {
   EXPECT_STREQ(AssignmentMethodName(AssignmentMethod::kSortGreedy), "SG");
   EXPECT_STREQ(AssignmentMethodName(AssignmentMethod::kHungarian), "MWM");
   EXPECT_STREQ(AssignmentMethodName(AssignmentMethod::kJonkerVolgenant), "JV");
+}
+
+// ---------------------------------------------------------------------------
+// Bit-exact extraction. The Hungarian solver and SortGreedy were rewritten
+// for speed under the byte-identity rule (DESIGN.md §7); these cases compare
+// them with copies of the loops they replaced, on inputs chosen to reach
+// every branch where a rewrite could diverge: exact ties (strict-< column
+// choice, sort order of equal values), both rectangular orientations
+// (Hungarian's transpose), single rows and columns, and near-separable
+// scores, where Hungarian's per-row searches run hundreds of steps.
+
+// The index-sort SortGreedy the value-record sort replaced.
+Alignment ReferenceSortGreedy(const DenseMatrix& similarity) {
+  const int n = similarity.rows();
+  const int m = similarity.cols();
+  std::vector<int64_t> order(static_cast<size_t>(n) * m);
+  std::iota(order.begin(), order.end(), int64_t{0});
+  const double* data = similarity.data();
+  std::sort(order.begin(), order.end(),
+            [&](int64_t a, int64_t b) { return data[a] > data[b]; });
+  Alignment align(n, -1);
+  std::vector<bool> col_used(m, false);
+  int matched = 0;
+  const int target = std::min(n, m);
+  for (int64_t idx : order) {
+    const int i = static_cast<int>(idx / m);
+    const int j = static_cast<int>(idx % m);
+    if (align[i] != -1 || col_used[j]) continue;
+    align[i] = j;
+    col_used[j] = true;
+    if (++matched == target) break;
+  }
+  return align;
+}
+
+// The all-columns Hungarian the free-list scan replaced (its deadline poll
+// dropped).
+std::vector<int> ReferenceHungarianMinCost(const DenseMatrix& cost) {
+  const int n = cost.rows();
+  const int m = cost.cols();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> u(n + 1, 0.0), v(m + 1, 0.0);
+  std::vector<int> p(m + 1, 0), way(m + 1, 0);
+  for (int i = 1; i <= n; ++i) {
+    p[0] = i;
+    int j0 = 0;
+    std::vector<double> minv(m + 1, kInf);
+    std::vector<bool> used(m + 1, false);
+    do {
+      used[j0] = true;
+      const int i0 = p[j0];
+      int j1 = -1;
+      double delta = kInf;
+      const double* crow = cost.Row(i0 - 1);
+      for (int j = 1; j <= m; ++j) {
+        if (used[j]) continue;
+        const double cur = crow[j - 1] - u[i0] - v[j];
+        if (cur < minv[j]) {
+          minv[j] = cur;
+          way[j] = j0;
+        }
+        if (minv[j] < delta) {
+          delta = minv[j];
+          j1 = j;
+        }
+      }
+      for (int j = 0; j <= m; ++j) {
+        if (used[j]) {
+          u[p[j]] += delta;
+          v[j] -= delta;
+        } else {
+          minv[j] -= delta;
+        }
+      }
+      j0 = j1;
+    } while (p[j0] != 0);
+    do {
+      const int j1 = way[j0];
+      p[j0] = p[j1];
+      j0 = j1;
+    } while (j0 != 0);
+  }
+  std::vector<int> row_to_col(n, -1);
+  for (int j = 1; j <= m; ++j) {
+    if (p[j] > 0) row_to_col[p[j] - 1] = j - 1;
+  }
+  return row_to_col;
+}
+
+Alignment ReferenceHungarian(const DenseMatrix& similarity) {
+  const int n = similarity.rows();
+  const int m = similarity.cols();
+  if (n <= m) {
+    DenseMatrix cost(n, m);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < m; ++j) cost(i, j) = -similarity(i, j);
+    }
+    return ReferenceHungarianMinCost(cost);
+  }
+  DenseMatrix cost(m, n);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < m; ++j) cost(j, i) = -similarity(i, j);
+  }
+  const std::vector<int> col_to_row = ReferenceHungarianMinCost(cost);
+  Alignment align(n, -1);
+  for (int j = 0; j < m; ++j) {
+    if (col_to_row[j] >= 0) align[col_to_row[j]] = j;
+  }
+  return align;
+}
+
+enum class BitExactInput { kUniform, kTies, kNearSeparable };
+
+DenseMatrix BitExactSim(BitExactInput kind, int n, int m, Rng* rng) {
+  std::vector<double> a(n), b(m);
+  for (double& x : a) x = rng->Uniform();
+  for (double& x : b) x = rng->Uniform();
+  DenseMatrix s(n, m);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < m; ++j) {
+      switch (kind) {
+        case BitExactInput::kUniform:
+          s(i, j) = rng->Uniform();
+          break;
+        case BitExactInput::kTies:  // Five levels: ties everywhere.
+          s(i, j) = 0.25 * static_cast<double>(rng->UniformInt(uint64_t{5}));
+          break;
+        case BitExactInput::kNearSeparable:  // Rank one plus 1e-3 noise.
+          s(i, j) = a[i] * b[j] + 1e-3 * rng->Uniform();
+          break;
+      }
+    }
+  }
+  return s;
+}
+
+const std::pair<int, int> kBitExactShapes[] = {
+    {1, 1},   {1, 9},   {9, 1},     {2, 2},     {5, 5},    {17, 23},
+    {23, 17}, {64, 64}, {100, 130}, {130, 100}, {130, 130}};
+
+TEST(LapBitExactTest, HungarianMatchesAllColumnLoop) {
+  Rng rng(2024);
+  for (BitExactInput kind : {BitExactInput::kUniform, BitExactInput::kTies,
+                             BitExactInput::kNearSeparable}) {
+    for (auto [n, m] : kBitExactShapes) {
+      const DenseMatrix sim = BitExactSim(kind, n, m, &rng);
+      auto a = HungarianAssign(sim);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      EXPECT_EQ(*a, ReferenceHungarian(sim))
+          << "kind " << static_cast<int>(kind) << ", " << n << "x" << m;
+    }
+  }
+}
+
+TEST(LapBitExactTest, SortGreedyMatchesIndexSort) {
+  Rng rng(2025);
+  for (BitExactInput kind : {BitExactInput::kUniform, BitExactInput::kTies,
+                             BitExactInput::kNearSeparable}) {
+    for (auto [n, m] : kBitExactShapes) {
+      const DenseMatrix sim = BitExactSim(kind, n, m, &rng);
+      auto a = SortGreedyAssign(sim);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      EXPECT_EQ(*a, ReferenceSortGreedy(sim))
+          << "kind " << static_cast<int>(kind) << ", " << n << "x" << m;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -274,6 +274,21 @@ TEST(DeadlineSolverTest, HungarianAbortsMidSolve) {
   EXPECT_LT(SecondsSince(start), 2.0);
 }
 
+TEST(DeadlineSolverTest, SortGreedyPollsAfterItsSort) {
+  // The deadline is still open at SG's up-front check; sorting the 2^20
+  // entries takes tens of milliseconds, so it has passed by the poll that
+  // follows the sort.
+  Rng rng(33);
+  const int n = 1024;
+  DenseMatrix sim(n, n);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) sim(i, j) = rng.Uniform();
+  }
+  auto align = SortGreedyAssign(sim, Deadline::AfterSeconds(0.001));
+  ASSERT_FALSE(align.ok());
+  EXPECT_EQ(align.status().code(), StatusCode::kDeadlineExceeded);
+}
+
 TEST(DeadlineSolverTest, AssignmentSolversFastFailWhenExpired) {
   Rng rng(31);
   DenseMatrix sim(50, 50);
