@@ -211,6 +211,16 @@ TEST(LapSolversTest, NonFiniteSimilarityIsRefusedByEveryMethod) {
   }
 }
 
+TEST(HungarianTest, RowWithoutFiniteReducedCostIsRefused) {
+  // ExtractAlignment refuses non-finite matrices before any solver runs; a
+  // direct call still gets a typed error instead of indexing column -1.
+  DenseMatrix sim(4, 4, 0.5);
+  for (int j = 0; j < 4; ++j) sim(2, j) = std::nan("");
+  auto a = HungarianAssign(sim);
+  ASSERT_FALSE(a.ok());
+  EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(LapSolversTest, EmptyMatricesRejected) {
   DenseMatrix empty(0, 0);
   EXPECT_FALSE(NearestNeighborAssign(empty).ok());
