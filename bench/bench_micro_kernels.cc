@@ -119,10 +119,10 @@ void BM_SortGreedyReal(benchmark::State& state, const char* source, int n) {
   RunExtraction(state, AssignmentMethod::kSortGreedy, source, n);
 }
 
-#define GA_REAL_LAP_ROWS(bm)                                   \
-  BENCHMARK_CAPTURE(bm, IsoRank_256, "IsoRank", 256);          \
-  BENCHMARK_CAPTURE(bm, NSD_256, "NSD", 256);                  \
-  BENCHMARK_CAPTURE(bm, LREA_256, "LREA", 256);                \
+#define GA_REAL_LAP_ROWS(bm)                                      \
+  BENCHMARK_CAPTURE(bm, IsoRank_256, "IsoRank", 256);             \
+  BENCHMARK_CAPTURE(bm, NSD_256, "NSD", 256);                     \
+  BENCHMARK_CAPTURE(bm, LREA_256, "LREA", 256);                   \
   BENCHMARK_CAPTURE(bm, DegreeProfile_256, "DegreeProfile", 256); \
   BENCHMARK_CAPTURE(bm, DegreeProfile_512, "DegreeProfile", 512)
 
