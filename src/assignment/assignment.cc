@@ -50,8 +50,8 @@ Result<Alignment> SortGreedyAssign(const DenseMatrix& similarity,
   }
   GA_RETURN_IF_EXPIRED(deadline, "SortGreedyAssign");
   // Sort (value, row, column) records by value, descending. std::sort's
-  // moves depend only on comparison outcomes, so the order is the one an
-  // index sort comparing data[a] > data[b] gives, ties included.
+  // moves depend only on comparison outcomes, so tied values come out in
+  // the same order as from a sort of flat indices by value (DESIGN.md §7).
   struct Entry {
     double value;
     int row;
