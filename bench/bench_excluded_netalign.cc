@@ -49,7 +49,7 @@ int Main(int argc, char** argv) {
     }
   }
   // A representative subset of the included nine for contrast.
-  for (const std::string& name : {"IsoRank", "CONE", "GWL"}) {
+  for (const std::string name : {"IsoRank", "CONE", "GWL"}) {
     auto aligner = bench::MakeBenchAligner(name, true);
     for (double level : bench::LowNoiseLevels(args.full)) {
       NoiseOptions noise;

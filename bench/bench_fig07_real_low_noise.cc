@@ -23,7 +23,7 @@ int Main(int argc, char** argv) {
 
   Journal journal = bench::MustOpenJournal(args);
   Table t({"dataset", "algorithm", "noise_type", "noise", "accuracy"});
-  for (const std::string& dataset : {"Arenas", "Facebook", "CA-AstroPh"}) {
+  for (const std::string dataset : {"Arenas", "Facebook", "CA-AstroPh"}) {
     const double ds_scale = dataset == std::string("Arenas")
                                 ? (args.full ? 1.0 : 0.2)
                                 : scale;

@@ -30,7 +30,7 @@ int Main(int argc, char** argv) {
   Table t({"dataset", "variant", "algorithm", "accuracy", "mnc", "s3"});
 
   // Temporal protocol: match the full graph against earlier snapshots.
-  for (const std::string& dataset : {"HighSchool", "Voles"}) {
+  for (const std::string dataset : {"HighSchool", "Voles"}) {
     auto base = MakeStandIn(dataset, args.seed, scale);
     GA_CHECK(base.ok());
     auto snaps = EvolvingSnapshots(*base, {0.80, 0.85, 0.90, 0.99}, &rng);

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     Rng prng(100 + v);
     auto problem = MakeProblemFromPair(*base, (*variants)[v], &prng);
     if (!problem.ok()) continue;
-    for (const std::string& name : {"IsoRank", "GWL"}) {
+    for (const std::string name : {"IsoRank", "GWL"}) {
       auto aligner = MakeAligner(name);
       auto alignment = (*aligner)->Align(problem->g1, problem->g2,
                                          AssignmentMethod::kJonkerVolgenant);

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   }
 
   Table t({"method", "re-identified", "accuracy", "MNC", "S3", "seconds"});
-  for (const std::string& name : {"REGAL", "CONE", "IsoRank"}) {
+  for (const std::string name : {"REGAL", "CONE", "IsoRank"}) {
     auto aligner = MakeAligner(name);
     WallTimer timer;
     auto alignment = (*aligner)->Align(problem->g1, problem->g2,

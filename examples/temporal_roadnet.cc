@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   }
 
   Table t({"method", "graph", "accuracy", "MNC"});
-  for (const std::string& name : {"IsoRank", "NSD", "GRASP"}) {
+  for (const std::string name : {"IsoRank", "NSD", "GRASP"}) {
     auto aligner = MakeAligner(name);
     auto alignment = (*aligner)->Align(problem->g1, problem->g2,
                                        AssignmentMethod::kJonkerVolgenant);

@@ -3,8 +3,6 @@
 #include <signal.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -13,7 +11,7 @@
 #include "common/exit_codes.h"
 #include "common/failpoint.h"
 #include "common/memory.h"
-#include "common/parse.h"
+#include "common/flags.h"
 #include "common/random.h"
 #include "common/retry.h"
 #include "common/subprocess.h"
@@ -23,37 +21,6 @@
 namespace graphalign {
 
 namespace {
-
-// Exits with a usage error; bench binaries have no meaningful way to
-// continue past a malformed flag value.
-[[noreturn]] void BenchArgError(const std::string& flag,
-                                const std::string& value,
-                                const char* expected) {
-  std::fprintf(stderr, "invalid value '%s' for %s (expected %s)\n",
-               value.c_str(), flag.c_str(), expected);
-  std::exit(kExitUsage);
-}
-
-// Strict whole-string parsing lives in common/parse.h (shared with the CLI
-// and server flags); these wrappers keep the exit-on-error bench contract.
-int ParsePositiveInt(const std::string& flag, const char* value) {
-  auto v = ParseStrictPositiveInt(value);
-  if (!v.ok()) BenchArgError(flag, value, "a positive integer");
-  return *v;
-}
-
-double ParsePositiveNumber(const std::string& flag, const char* value,
-                           const char* expected) {
-  auto v = ParseStrictPositiveDouble(value);
-  if (!v.ok()) BenchArgError(flag, value, expected);
-  return *v;
-}
-
-uint64_t ParseSeed(const std::string& flag, const char* value) {
-  auto v = ParseStrictUint64(value);
-  if (!v.ok()) BenchArgError(flag, value, "an unsigned integer");
-  return *v;
-}
 
 // ---------------------------------------------------------------------------
 // RunOutcome marshaling across the isolation pipe. Parent and child are the
@@ -224,12 +191,12 @@ class FaultAligner : public Aligner {
         return Status::ResourceExhausted(
             "_OOM injector survived its 4 GB appetite (no memory limit?)");
       }
-      case Kind::kHang:
+      case Kind::kHang: {
         // Deliberately never polls the deadline: only the executor's hard
         // wall-clock kill can stop this.
-        for (volatile uint64_t spin = 0;; spin = spin + 1) {
-        }
-        break;
+        volatile uint64_t spin = 0;
+        for (;;) spin = spin + 1;
+      }
     }
     return Status::Internal("unreachable fault injector state");
   }
@@ -254,71 +221,45 @@ std::unique_ptr<Aligner> MakeFaultAligner(const std::string& name) {
 }
 
 BenchArgs ParseBenchArgs(int argc, char** argv) {
+  // Bench binaries have no meaningful way to continue past a malformed
+  // flag, so every error exits with a usage error.
+  auto usage_error = [](const std::string& message) {
+    std::fprintf(stderr, "%s\n", message.c_str());
+    std::exit(kExitUsage);
+  };
+  FlagReader flags(argc, argv, 1);
   BenchArgs args;
-  bool explicit_isolate = false;
-  bool no_isolate = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      GA_CHECK_MSG(i + 1 < argc, "missing value for " + arg);
-      return argv[++i];
-    };
-    if (arg == "--full") {
-      args.full = true;
-    } else if (arg == "--reps") {
-      args.repetitions = ParsePositiveInt(arg, next());
-    } else if (arg == "--algos") {
-      std::stringstream ss(next());
-      std::string tok;
-      while (std::getline(ss, tok, ',')) {
-        if (!tok.empty()) args.algorithms.push_back(tok);
-      }
-    } else if (arg == "--csv") {
-      args.csv_path = next();
-    } else if (arg == "--json") {
-      args.json_path = next();
-    } else if (arg == "--seed") {
-      args.seed = ParseSeed(arg, next());
-    } else if (arg == "--time-limit") {
-      args.time_limit_seconds =
-          ParsePositiveNumber(arg, next(), "a positive number of seconds");
-    } else if (arg == "--isolate") {
-      explicit_isolate = true;
-    } else if (arg == "--no-isolate") {
-      no_isolate = true;
-    } else if (arg == "--mem-limit") {
-      args.mem_limit_mb =
-          ParsePositiveNumber(arg, next(), "a positive number of megabytes");
-    } else if (arg == "--journal") {
-      args.journal_path = next();
-    } else if (arg == "--resume") {
-      args.resume = true;
-    } else if (arg == "--retries") {
-      // 0 is meaningful (no retries), so the positive-int parser won't do.
-      const char* value = next();
-      auto v = ParseStrictUint64(value);
-      if (!v.ok() || *v > 100) {
-        BenchArgError(arg, value, "a non-negative integer (at most 100)");
-      }
-      args.retries = static_cast<int>(*v);
-    } else {
-      std::fprintf(stderr,
-                   "unknown flag %s (supported: --full --reps N --algos A,B "
-                   "--csv PATH --json PATH --seed S --time-limit T --isolate "
-                   "--no-isolate --mem-limit MB --journal PATH --resume "
-                   "--retries N)\n",
-                   arg.c_str());
-      std::exit(kExitUsage);
-    }
+  args.full = flags.Switch("full");
+  args.repetitions = flags.Int("reps", args.repetitions, 1, kMaxInt);
+  std::stringstream algos(flags.String("algos"));
+  for (std::string tok; std::getline(algos, tok, ',');) {
+    if (!tok.empty()) args.algorithms.push_back(tok);
+  }
+  args.csv_path = flags.String("csv");
+  args.json_path = flags.String("json");
+  args.seed = flags.Uint64("seed", args.seed);
+  args.time_limit_seconds = flags.Double(
+      "time-limit", args.time_limit_seconds, kPositive, kMaxDouble, "seconds");
+  const bool explicit_isolate = flags.Switch("isolate");
+  const bool no_isolate = flags.Switch("no-isolate");
+  args.mem_limit_mb = flags.Double("mem-limit", args.mem_limit_mb, kPositive,
+                                   kMaxDouble, "megabytes");
+  args.journal_path = flags.String("journal");
+  args.resume = flags.Switch("resume");
+  args.retries = flags.Int("retries", args.retries, 0, kMaxRetries);
+  if (!flags.ok()) usage_error(flags.status().message());
+  if (const std::vector<std::string> unknown = flags.Unread();
+      !unknown.empty()) {
+    usage_error("unknown flag " + unknown.front() +
+                " (supported: --full --reps N --algos A,B --csv PATH "
+                "--json PATH --seed S --time-limit T --isolate --no-isolate "
+                "--mem-limit MB --journal PATH --resume --retries N)");
   }
   if (no_isolate && (explicit_isolate || args.mem_limit_mb > 0.0)) {
-    std::fprintf(stderr,
-                 "--no-isolate conflicts with --isolate/--mem-limit\n");
-    std::exit(kExitUsage);
+    usage_error("--no-isolate conflicts with --isolate/--mem-limit");
   }
   if (args.resume && args.journal_path.empty()) {
-    std::fprintf(stderr, "--resume requires --journal PATH\n");
-    std::exit(kExitUsage);
+    usage_error("--resume requires --journal PATH");
   }
   // Paper-scale sweeps isolate by default: a single crashed cell must not
   // take down hours of accumulated results.

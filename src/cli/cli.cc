@@ -5,10 +5,8 @@
 #include <stdlib.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,8 +16,11 @@
 #include "common/exit_codes.h"
 #include "datasets/datasets.h"
 #include "common/failpoint.h"
-#include "common/parse.h"
+#include "common/flags.h"
+#include "common/parallel.h"
 #include "common/random.h"
+#include "common/retry.h"
+#include "common/socket.h"
 #include "common/status.h"
 #include "common/subprocess.h"
 #include "common/table.h"
@@ -41,51 +42,8 @@ namespace graphalign {
 
 namespace {
 
-// Minimal --key value parser; flags without a value use "true".
-class Flags {
- public:
-  Flags(int argc, const char* const* argv, int start) {
-    for (int i = start; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        error_ = "unexpected positional argument: " + key;
-        return;
-      }
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "true";
-      }
-    }
-  }
-
-  const std::string& error() const { return error_; }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
-  std::string GetString(const std::string& key,
-                        const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  int GetInt(const std::string& key, int fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-  uint64_t GetSeed() const {
-    auto it = values_.find("seed");
-    return it == values_.end() ? 2023
-                               : std::strtoull(it->second.c_str(), nullptr, 10);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::string error_;
-};
+// The seed generate, perturb and store import use without --seed.
+constexpr uint64_t kDefaultSeed = 2023;
 
 Status WriteMapping(const Alignment& alignment, const std::string& path) {
   std::ofstream f(path);
@@ -124,47 +82,56 @@ int Fail(std::ostream& err, const Status& status) {
   return kExitError;
 }
 
-// --threads N: per-invocation override of GRAPHALIGN_THREADS, validated with
-// the same strict whole-string rules as the bench flags. Must run before the
-// first ParallelFor of the process — the pool latches its size on first use
-// — which holds for every CLI path (commands parse flags before computing).
-Status ApplyThreadsFlag(const Flags& flags) {
-  if (!flags.Has("threads")) return Status::Ok();
-  const std::string value = flags.GetString("threads");
-  auto n = ParseStrictPositiveInt(value);
-  if (!n.ok() || *n > 1024) {
-    return Status::InvalidArgument(
-        "--threads must be a positive integer (1..1024), got '" + value +
-        "'");
-  }
-  setenv("GRAPHALIGN_THREADS", std::to_string(*n).c_str(), 1);
-  return Status::Ok();
+// --out FILE: writes the mapping when a path was given and says where.
+int WriteOutMapping(const Alignment& alignment, const std::string& path,
+                    std::ostream& out, std::ostream& err) {
+  if (path.empty()) return kExitOk;
+  Status s = WriteMapping(alignment, path);
+  if (!s.ok()) return Fail(err, s);
+  out << "mapping written to " << path << "\n";
+  return kExitOk;
 }
 
-int CmdGenerate(const Flags& flags, std::ostream& out, std::ostream& err) {
-  const std::string model = flags.GetString("model");
-  const int n = flags.GetInt("n", 0);
-  const std::string path = flags.GetString("out");
+// --threads N: per-invocation override of GRAPHALIGN_THREADS. Must run
+// before the first ParallelFor of the process — the pool latches its size on
+// first use — which holds for every CLI path (commands parse flags before
+// computing). A bad value leaves the environment alone and is reported by
+// the caller's status check.
+void ApplyThreadsFlag(FlagReader& flags) {
+  const int threads = flags.Int("threads", 0, 1, kMaxThreads);
+  if (threads > 0) {
+    setenv("GRAPHALIGN_THREADS", std::to_string(threads).c_str(), 1);
+  }
+}
+
+int CmdGenerate(FlagReader& flags, std::ostream& out, std::ostream& err) {
+  const std::string model = flags.String("model");
+  const int n = flags.Int("n", 0, 1, kMaxInt);
+  const std::string path = flags.String("out");
+  const uint64_t seed = flags.Uint64("seed", kDefaultSeed);
+  const double p = flags.Double("p", model == "er" ? 0.01 : 0.5, 0.0, 1.0);
+  const int m = flags.Int("m", 3, 1, kMaxInt);
+  const int k = flags.Int("k", model == "ws" ? 10 : 6, 0, kMaxInt);
+  const double radius = flags.Double("radius", 0.05, 0.0, kMaxDouble);
+  if (!flags.ok()) return Fail(err, flags.status());
   if (model.empty() || n <= 0 || path.empty()) {
     return Fail(err, Status::InvalidArgument(
                          "generate requires --model, --n and --out"));
   }
-  Rng rng(flags.GetSeed());
+  Rng rng(seed);
   Result<Graph> g = Status::InvalidArgument("unknown model: " + model);
   if (model == "er") {
-    g = ErdosRenyi(n, flags.GetDouble("p", 0.01), &rng);
+    g = ErdosRenyi(n, p, &rng);
   } else if (model == "ba") {
-    g = BarabasiAlbert(n, flags.GetInt("m", 3), &rng);
+    g = BarabasiAlbert(n, m, &rng);
   } else if (model == "ws") {
-    g = WattsStrogatz(n, flags.GetInt("k", 10), flags.GetDouble("p", 0.5),
-                      &rng);
+    g = WattsStrogatz(n, k, p, &rng);
   } else if (model == "nw") {
-    g = NewmanWatts(n, flags.GetInt("k", 6), flags.GetDouble("p", 0.5), &rng);
+    g = NewmanWatts(n, k, p, &rng);
   } else if (model == "pl") {
-    g = PowerlawCluster(n, flags.GetInt("m", 3), flags.GetDouble("p", 0.5),
-                        &rng);
+    g = PowerlawCluster(n, m, p, &rng);
   } else if (model == "geometric") {
-    g = RandomGeometric(n, flags.GetDouble("radius", 0.05), &rng);
+    g = RandomGeometric(n, radius, &rng);
   }
   if (!g.ok()) return Fail(err, g.status());
   Status s = WriteEdgeList(*g, path);
@@ -174,17 +141,22 @@ int CmdGenerate(const Flags& flags, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int CmdPerturb(const Flags& flags, std::ostream& out, std::ostream& err) {
-  const std::string in = flags.GetString("in");
-  const std::string out_path = flags.GetString("out");
+int CmdPerturb(FlagReader& flags, std::ostream& out, std::ostream& err) {
+  const std::string in = flags.String("in");
+  const std::string out_path = flags.String("out");
+  const std::string type = flags.String("noise", "one-way");
+  const std::string truth_path = flags.String("truth");
+  NoiseOptions noise;
+  noise.level = flags.Double("level", 0.05, 0.0, 1.0);
+  noise.permute = !flags.Has("no-permute");
+  const uint64_t seed = flags.Uint64("seed", kDefaultSeed);
+  if (!flags.ok()) return Fail(err, flags.status());
   if (in.empty() || out_path.empty()) {
     return Fail(err,
                 Status::InvalidArgument("perturb requires --in and --out"));
   }
   auto g = ReadEdgeList(in);
   if (!g.ok()) return Fail(err, g.status());
-  NoiseOptions noise;
-  const std::string type = flags.GetString("noise", "one-way");
   if (type == "one-way") {
     noise.type = NoiseType::kOneWay;
   } else if (type == "multi-modal") {
@@ -194,9 +166,7 @@ int CmdPerturb(const Flags& flags, std::ostream& out, std::ostream& err) {
   } else {
     return Fail(err, Status::InvalidArgument("unknown noise type: " + type));
   }
-  noise.level = flags.GetDouble("level", 0.05);
-  noise.permute = !flags.Has("no-permute");
-  Rng rng(flags.GetSeed());
+  Rng rng(seed);
   auto problem = MakeAlignmentProblem(*g, noise, &rng);
   if (!problem.ok()) return Fail(err, problem.status());
   // Two-way noise also changes g1; warn when we silently keep the original.
@@ -206,7 +176,6 @@ int CmdPerturb(const Flags& flags, std::ostream& out, std::ostream& err) {
   }
   Status s = WriteEdgeList(problem->g2, out_path);
   if (!s.ok()) return Fail(err, s);
-  const std::string truth_path = flags.GetString("truth");
   if (!truth_path.empty()) {
     GA_CHECK(problem->ground_truth.size() ==
              static_cast<size_t>(g->num_nodes()));
@@ -219,43 +188,24 @@ int CmdPerturb(const Flags& flags, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-// Strict flag parsing shared by align/serve/submit: positive whole-string
-// values, same rules as the bench harness (ParseBenchArgs).
-Result<int> StrictIntFlag(const Flags& flags, const std::string& key,
-                          int fallback) {
-  if (!flags.Has(key)) return fallback;
-  auto v = ParseStrictPositiveInt(flags.GetString(key));
-  if (!v.ok()) {
-    return Status::InvalidArgument("--" + key +
-                                   " must be a positive integer, got '" +
-                                   flags.GetString(key) + "'");
-  }
-  return *v;
-}
+// `align`'s flags, read once by CmdAlign before any fork.
+struct AlignArgs {
+  std::string g1, g2, algo, assign, out;
+  double time_limit = 0.0;  // Seconds; 0 = no limit.
+  bool sparse = false;
+  LshOptions lsh;           // --lsh-bands / --lsh-rows, read with --sparse.
+};
 
-Result<double> StrictDoubleFlag(const Flags& flags, const std::string& key,
-                                double fallback) {
-  if (!flags.Has(key)) return fallback;
-  auto v = ParseStrictPositiveDouble(flags.GetString(key));
-  if (!v.ok()) {
-    return Status::InvalidArgument("--" + key +
-                                   " must be a positive number, got '" +
-                                   flags.GetString(key) + "'");
-  }
-  return *v;
-}
-
-int CmdAlignInner(const Flags& flags, std::ostream& out, std::ostream& err) {
-  const std::string g1_path = flags.GetString("g1");
-  const std::string g2_path = flags.GetString("g2");
-  const std::string algo = flags.GetString("algo");
-  if (g1_path.empty() || g2_path.empty() || algo.empty()) {
+int CmdAlignInner(const AlignArgs& args, std::ostream& out,
+                  std::ostream& err) {
+  const std::string& algo = args.algo;
+  if (args.g1.empty() || args.g2.empty() || algo.empty()) {
     return Fail(err, Status::InvalidArgument(
                          "align requires --g1, --g2 and --algo"));
   }
-  auto g1 = ReadEdgeList(g1_path);
+  auto g1 = ReadEdgeList(args.g1);
   if (!g1.ok()) return Fail(err, g1.status());
-  auto g2 = ReadEdgeList(g2_path);
+  auto g2 = ReadEdgeList(args.g2);
   if (!g2.ok()) return Fail(err, g2.status());
   auto aligner = MakeAligner(algo);
   if (!aligner.ok()) return Fail(err, aligner.status());
@@ -263,31 +213,13 @@ int CmdAlignInner(const Flags& flags, std::ostream& out, std::ostream& err) {
   // --time-limit T: cooperative budget in seconds over the whole alignment
   // (similarity + assignment). The run aborts with DNF soon after expiry.
   Deadline deadline;  // Infinite unless --time-limit is given.
-  if (flags.Has("time-limit")) {
-    const double limit = flags.GetDouble("time-limit", 0.0);
-    if (limit <= 0.0) {
-      return Fail(err, Status::InvalidArgument(
-                           "--time-limit must be a positive number of "
-                           "seconds"));
-    }
-    deadline = Deadline::AfterSeconds(limit);
-  }
+  if (args.time_limit > 0.0) deadline = Deadline::AfterSeconds(args.time_limit);
 
-  const std::string assign = flags.GetString("assign", "JV");
-  auto plan = AlignPlanFromAssign(assign);
+  auto plan = AlignPlanFromAssign(args.assign);
   if (!plan.ok()) return Fail(err, plan.status());
-  // --sparse: LSH candidate generation + candidate-only scoring + sparse
-  // LAP. Never builds the n1 x n2 matrix for native-capable algorithms
-  // (LREA, REGAL, NSD); the output says which path actually ran.
-  const bool sparse = flags.Has("sparse");
-  if (sparse) {
+  if (args.sparse) {
     plan->path = AlignPath::kSparse;
-    auto bands = StrictIntFlag(flags, "lsh-bands", plan->lsh.bands);
-    if (!bands.ok()) return Fail(err, bands.status());
-    plan->lsh.bands = *bands;
-    auto rows = StrictIntFlag(flags, "lsh-rows", plan->lsh.rows_per_band);
-    if (!rows.ok()) return Fail(err, rows.status());
-    plan->lsh.rows_per_band = *rows;
+    plan->lsh = args.lsh;
   }
   WallTimer timer;
   // The dense path degrades gracefully on recoverable numerical failures
@@ -310,20 +242,16 @@ int CmdAlignInner(const Flags& flags, std::ostream& out, std::ostream& err) {
   const double secs = timer.Seconds();
   int matched = 0;
   for (int v : alignment) matched += (v >= 0);
-  out << algo << "/" << (sparse ? "sparse" : assign) << " aligned " << matched
-      << "/" << g1->num_nodes() << " nodes in " << Table::Num(secs, 2) << "s";
-  if (sparse) {
+  out << algo << "/" << (args.sparse ? "sparse" : args.assign) << " aligned "
+      << matched << "/" << g1->num_nodes() << " nodes in "
+      << Table::Num(secs, 2) << "s";
+  if (args.sparse) {
     out << " (candidates=" << report->lsh.candidates << ", "
         << SparseSimilarityModeName(report->sparse_mode) << ")";
   }
   if (report->degraded) out << " [degraded: " << report->degrade_reason << "]";
   out << "\n";
-  const std::string out_path = flags.GetString("out");
-  if (!out_path.empty()) {
-    Status s = WriteMapping(alignment, out_path);
-    if (!s.ok()) return Fail(err, s);
-    out << "mapping written to " << out_path << "\n";
-  }
+  if (int rc = WriteOutMapping(alignment, args.out, out, err)) return rc;
   // Structural quality is computable without ground truth.
   out << "MNC=" << Table::Num(MeanMatchedNeighborhoodConsistency(
                      *g1, *g2, alignment))
@@ -337,36 +265,42 @@ int CmdAlignInner(const Flags& flags, std::ostream& out, std::ostream& err) {
 // forked child under rlimit caps, so a crashing or memory-hungry aligner
 // yields a distinct exit code (4 = crash, 5 = OOM, 3 = DNF) instead of
 // taking the CLI down with it.
-int CmdAlign(const Flags& flags, std::ostream& out, std::ostream& err) {
-  Status threads = ApplyThreadsFlag(flags);
-  if (!threads.ok()) return Fail(err, threads);
+int CmdAlign(FlagReader& flags, std::ostream& out, std::ostream& err) {
+  ApplyThreadsFlag(flags);
+  AlignArgs args;
+  args.g1 = flags.String("g1");
+  args.g2 = flags.String("g2");
+  args.algo = flags.String("algo");
+  args.assign = flags.String("assign", "JV");
+  args.out = flags.String("out");
+  args.time_limit =
+      flags.Double("time-limit", 0.0, kPositive, kMaxDouble, "seconds");
+  // --sparse: LSH candidate generation + candidate-only scoring + sparse
+  // LAP. Never builds the n1 x n2 matrix for native-capable algorithms
+  // (LREA, REGAL, NSD); the output says which path actually ran.
+  args.sparse = flags.Has("sparse");
+  LshOptions& lsh = args.lsh;
+  if (args.sparse) {
+    lsh.bands = flags.Int("lsh-bands", lsh.bands, 1, kMaxInt);
+    lsh.rows_per_band = flags.Int("lsh-rows", lsh.rows_per_band, 1, kMaxInt);
+  }
   const bool isolate = flags.Has("isolate") || flags.Has("mem-limit");
-  if (!isolate) return CmdAlignInner(flags, out, err);
+  const double mem_limit_mb =
+      flags.Double("mem-limit", 0.0, kPositive, kMaxDouble, "megabytes");
+  if (!flags.ok()) return Fail(err, flags.status());
+  if (!isolate) return CmdAlignInner(args, out, err);
 
   SubprocessOptions options;
-  if (flags.Has("mem-limit")) {
-    const double mb = flags.GetDouble("mem-limit", 0.0);
-    if (mb <= 0.0) {
-      return Fail(err, Status::InvalidArgument(
-                           "--mem-limit must be a positive number of "
-                           "megabytes"));
-    }
-    options.mem_limit_bytes = static_cast<int64_t>(mb * 1024.0 * 1024.0);
-  }
-  if (flags.Has("time-limit")) {
-    const double limit = flags.GetDouble("time-limit", 0.0);
-    if (limit <= 0.0) {
-      return Fail(err, Status::InvalidArgument(
-                           "--time-limit must be a positive number of "
-                           "seconds"));
-    }
-    // The cooperative deadline inside the child remains the primary limit;
-    // the hard kill is a backstop for non-cooperative hangs.
-    options.wall_limit_seconds = 2.0 * limit + 30.0;
+  options.mem_limit_bytes =
+      static_cast<int64_t>(mem_limit_mb * 1024.0 * 1024.0);
+  // The cooperative deadline inside the child remains the primary limit;
+  // the hard kill is a backstop for non-cooperative hangs.
+  if (args.time_limit > 0.0) {
+    options.wall_limit_seconds = 2.0 * args.time_limit + 30.0;
   }
   auto result = RunIsolated(
       [&](int) {
-        const int rc = CmdAlignInner(flags, out, err);
+        const int rc = CmdAlignInner(args, out, err);
         out.flush();
         err.flush();
         return rc;
@@ -392,10 +326,12 @@ int CmdAlign(const Flags& flags, std::ostream& out, std::ostream& err) {
   return kExitError;
 }
 
-int CmdEvaluate(const Flags& flags, std::ostream& out, std::ostream& err) {
-  const std::string g1_path = flags.GetString("g1");
-  const std::string g2_path = flags.GetString("g2");
-  const std::string mapping_path = flags.GetString("mapping");
+int CmdEvaluate(FlagReader& flags, std::ostream& out, std::ostream& err) {
+  const std::string g1_path = flags.String("g1");
+  const std::string g2_path = flags.String("g2");
+  const std::string mapping_path = flags.String("mapping");
+  const std::string truth_path = flags.String("truth");
+  if (!flags.ok()) return Fail(err, flags.status());
   if (g1_path.empty() || g2_path.empty() || mapping_path.empty()) {
     return Fail(err, Status::InvalidArgument(
                          "evaluate requires --g1, --g2 and --mapping"));
@@ -411,7 +347,6 @@ int CmdEvaluate(const Flags& flags, std::ostream& out, std::ostream& err) {
       << " EC=" << Table::Num(EdgeCorrectness(*g1, *g2, *mapping))
       << " ICS=" << Table::Num(InducedConservedStructure(*g1, *g2, *mapping))
       << " S3=" << Table::Num(SymmetricSubstructureScore(*g1, *g2, *mapping));
-  const std::string truth_path = flags.GetString("truth");
   if (!truth_path.empty()) {
     auto truth = ReadMapping(truth_path, g1->num_nodes());
     if (!truth.ok()) return Fail(err, truth.status());
@@ -421,8 +356,9 @@ int CmdEvaluate(const Flags& flags, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int CmdStats(const Flags& flags, std::ostream& out, std::ostream& err) {
-  const std::string in = flags.GetString("in");
+int CmdStats(FlagReader& flags, std::ostream& out, std::ostream& err) {
+  const std::string in = flags.String("in");
+  if (!flags.ok()) return Fail(err, flags.status());
   if (in.empty()) {
     return Fail(err, Status::InvalidArgument("stats requires --in"));
   }
@@ -449,87 +385,44 @@ int CmdStats(const Flags& flags, std::ostream& out, std::ostream& err) {
 // ---------------------------------------------------------------------------
 // serve / submit: the alignment service daemon and its client.
 
-int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
-  Status threads = ApplyThreadsFlag(flags);
-  if (!threads.ok()) return Fail(err, threads);
+int CmdServe(FlagReader& flags, std::ostream& out, std::ostream& err) {
+  ApplyThreadsFlag(flags);
   ServerOptions options;
-  options.socket_path = flags.GetString("socket");
-  if (flags.Has("port")) {
-    // Port 0 (kernel-assigned) is allowed, so parse as unsigned, not
-    // strictly positive.
-    auto port = ParseStrictUint64(flags.GetString("port"));
-    if (!port.ok() || *port > 65535) {
-      return Fail(err, Status::InvalidArgument(
-                           "--port must be an integer in 0..65535, got '" +
-                           flags.GetString("port") + "'"));
-    }
-    options.port = static_cast<int>(*port);
-  }
-  auto workers = StrictIntFlag(flags, "workers", options.workers);
-  if (!workers.ok()) return Fail(err, workers.status());
-  options.workers = *workers;
-  auto queue = StrictIntFlag(flags, "queue", 0);
-  if (!queue.ok()) return Fail(err, queue.status());
-  options.queue_capacity = *queue;
-  auto cache_mb = StrictDoubleFlag(flags, "cache-mb", options.cache_mb);
-  if (!cache_mb.ok()) return Fail(err, cache_mb.status());
-  options.cache_mb = *cache_mb;
-  auto io_timeout =
-      StrictDoubleFlag(flags, "io-timeout", options.io_timeout_seconds);
-  if (!io_timeout.ok()) return Fail(err, io_timeout.status());
-  options.io_timeout_seconds = *io_timeout;
-  options.cache_dir = flags.GetString("cache-dir");
-  options.store_dir = flags.GetString("store-dir");
-  auto quota = StrictDoubleFlag(flags, "quota", options.quota_rps);
-  if (!quota.ok()) return Fail(err, quota.status());
-  options.quota_rps = *quota;
+  options.socket_path = flags.String("socket");
+  // Port 0 asks the kernel for a free port.
+  options.port = flags.Int("port", options.port, 0, kMaxPort);
+  options.workers = flags.Int("workers", options.workers, 1, kMaxInt);
+  options.queue_capacity =
+      flags.Int("queue", options.queue_capacity, 1, kMaxInt);
+  options.cache_mb =
+      flags.Double("cache-mb", options.cache_mb, kPositive, kMaxDouble);
+  options.io_timeout_seconds = flags.Double(
+      "io-timeout", options.io_timeout_seconds, kPositive, kMaxDouble);
+  options.cache_dir = flags.String("cache-dir");
+  options.store_dir = flags.String("store-dir");
+  options.quota_rps =
+      flags.Double("quota", options.quota_rps, kPositive, kMaxDouble);
   options.shed = flags.Has("shed");
-  // "--quarantine 0" / "--grace 0" disable those guards, so zero is legal
-  // here even though the strict parsers demand positive values.
-  if (flags.GetString("quarantine") == "0") {
-    options.quarantine_threshold = 0;
-  } else {
-    auto quarantine =
-        StrictIntFlag(flags, "quarantine", options.quarantine_threshold);
-    if (!quarantine.ok()) return Fail(err, quarantine.status());
-    options.quarantine_threshold = *quarantine;
-  }
-  if (flags.GetString("grace") == "0") {
-    options.watchdog_grace_seconds = 0.0;
-  } else {
-    auto grace =
-        StrictDoubleFlag(flags, "grace", options.watchdog_grace_seconds);
-    if (!grace.ok()) return Fail(err, grace.status());
-    options.watchdog_grace_seconds = *grace;
-  }
+  // "--quarantine 0" / "--grace 0" disable those guards.
+  options.quarantine_threshold =
+      flags.Int("quarantine", options.quarantine_threshold, 0, kMaxInt);
+  options.watchdog_grace_seconds =
+      flags.Double("grace", options.watchdog_grace_seconds, 0.0, kMaxDouble);
   // --jobs-dir DIR enables the durable async job queue (DESIGN.md §17);
   // without it kSubmitJob is refused and the daemon is synchronous-only.
-  options.jobs_dir = flags.GetString("jobs-dir");
-  auto job_attempts =
-      StrictIntFlag(flags, "job-attempts", options.job_attempts);
-  if (!job_attempts.ok()) return Fail(err, job_attempts.status());
-  options.job_attempts = *job_attempts;
-  auto job_ttl = StrictDoubleFlag(flags, "job-ttl", options.job_ttl_seconds);
-  if (!job_ttl.ok()) return Fail(err, job_ttl.status());
-  options.job_ttl_seconds = *job_ttl;
-  auto job_workers =
-      StrictIntFlag(flags, "job-workers", options.job_workers);
-  if (!job_workers.ok()) return Fail(err, job_workers.status());
-  options.job_workers = *job_workers;
+  options.jobs_dir = flags.String("jobs-dir");
+  options.job_attempts =
+      flags.Int("job-attempts", options.job_attempts, 1, kMaxInt);
+  options.job_ttl_seconds =
+      flags.Double("job-ttl", options.job_ttl_seconds, kPositive, kMaxDouble);
+  options.job_workers =
+      flags.Int("job-workers", options.job_workers, 1, kMaxInt);
   // --http-port N: also serve the HTTP/JSON gateway (DESIGN.md §16) on
   // 127.0.0.1:N (0 = kernel-assigned). The gateway forwards every HTTP
   // request as a GAF1 call against this daemon, so quotas/shed/quarantine
   // apply to HTTP traffic unchanged.
-  int http_port = -1;
-  if (flags.Has("http-port")) {
-    auto p = ParseStrictUint64(flags.GetString("http-port"));
-    if (!p.ok() || *p > 65535) {
-      return Fail(err, Status::InvalidArgument(
-                           "--http-port must be an integer in 0..65535, "
-                           "got '" + flags.GetString("http-port") + "'"));
-    }
-    http_port = static_cast<int>(*p);
-  }
+  const int http_port = flags.Int("http-port", -1, 0, kMaxPort);
+  if (!flags.ok()) return Fail(err, flags.status());
 
   // Block SIGINT/SIGTERM before spawning server threads (they inherit the
   // mask), then consume them on a dedicated sigwait thread. Signal-driven
@@ -641,13 +534,7 @@ int PrintAlignResponse(const Response& response, const AlignRequest& request,
   out << "\n";
   out << "MNC=" << Table::Num(result->mnc) << " EC=" << Table::Num(result->ec)
       << " S3=" << Table::Num(result->s3) << "\n";
-  if (!out_path.empty()) {
-    Alignment alignment(result->mapping.begin(), result->mapping.end());
-    Status s = WriteMapping(alignment, out_path);
-    if (!s.ok()) return Fail(err, s);
-    out << "mapping written to " << out_path << "\n";
-  }
-  return kExitOk;
+  return WriteOutMapping(result->mapping, out_path, out, err);
 }
 
 // Prints the outcome of a job-surface call (kSubmitJob/kJobStatus/
@@ -669,13 +556,7 @@ int PrintJobResponse(const Request& request, const Response& response,
         << " EC=" << Table::Num(result->ec)
         << " S3=" << Table::Num(result->s3)
         << " align_s=" << Table::Num(result->align_seconds, 2) << "\n";
-    if (!out_path.empty()) {
-      Alignment alignment(result->mapping.begin(), result->mapping.end());
-      Status s = WriteMapping(alignment, out_path);
-      if (!s.ok()) return Fail(err, s);
-      out << "mapping written to " << out_path << "\n";
-    }
-    return kExitOk;
+    return WriteOutMapping(result->mapping, out_path, out, err);
   }
   // Everything else answers with a job envelope when one exists.
   auto info = DecodeJobInfo(response.body);
@@ -698,45 +579,56 @@ int PrintJobResponse(const Request& request, const Response& response,
   return static_cast<int>(response.code);
 }
 
-int CmdSubmit(const Flags& flags, std::ostream& out, std::ostream& err,
-              bool force_async = false) {
+// --socket PATH | [--host H] --port N, and --timeout T: how submit and
+// jobs reach the daemon.
+ClientOptions ReadConnection(FlagReader& flags) {
   ClientOptions conn;
-  conn.socket_path = flags.GetString("socket");
-  if (flags.Has("port")) {
-    auto port = ParseStrictUint64(flags.GetString("port"));
-    if (!port.ok() || *port == 0 || *port > 65535) {
-      return Fail(err, Status::InvalidArgument(
-                           "--port must be an integer in 1..65535, got '" +
-                           flags.GetString("port") + "'"));
-    }
-    conn.port = static_cast<int>(*port);
-  }
-  conn.host = flags.GetString("host", conn.host);
-  auto timeout = StrictDoubleFlag(flags, "timeout", conn.timeout_seconds);
-  if (!timeout.ok()) return Fail(err, timeout.status());
-  conn.timeout_seconds = *timeout;
+  conn.socket_path = flags.String("socket");
+  conn.host = flags.String("host", conn.host);
+  conn.port = flags.Int("port", conn.port, 1, kMaxPort);
+  conn.timeout_seconds =
+      flags.Double("timeout", conn.timeout_seconds, kPositive, kMaxDouble);
+  return conn;
+}
 
+int CmdSubmit(FlagReader& flags, std::ostream& out, std::ostream& err,
+              bool force_async = false) {
+  const ClientOptions conn = ReadConnection(flags);
   // --retries N: retry transient failures (connect errors, BUSY, SHED,
   // SHUTTING_DOWN) up to N extra attempts with jittered exponential
   // backoff. 0 (the default) keeps the single-shot behavior. QUARANTINED
   // is permanent and is never retried.
   RetryPolicy retry_policy;
-  retry_policy.max_attempts = 1;
-  if (flags.Has("retries")) {
-    auto retries = ParseStrictUint64(flags.GetString("retries"));
-    if (!retries.ok() || *retries > 100) {
-      return Fail(err, Status::InvalidArgument(
-                           "--retries must be an integer in 0..100, got '" +
-                           flags.GetString("retries") + "'"));
-    }
-    retry_policy.max_attempts = 1 + static_cast<int>(*retries);
-  }
+  retry_policy.max_attempts = 1 + flags.Int("retries", 0, 0, kMaxRetries);
+  // Align limits; 0 = none.
+  const double time_limit =
+      flags.Double("time-limit", 0.0, kPositive, kMaxDouble, "seconds");
+  const double mem_limit_mb =
+      flags.Double("mem-limit", 0.0, kPositive, kMaxDouble, "megabytes");
+  const std::string g1_path = flags.String("g1");
+  const std::string g2_path = flags.String("g2");
+  const std::string g1_hash = flags.String("g1-hash");
+  const std::string g2_hash = flags.String("g2-hash");
+  const std::string mapping_path = flags.String("mapping");
+  const std::string truth_path = flags.String("truth");
+  const std::string put_graph_path = flags.String("put-graph");
+  const std::string has_graph = flags.String("has-graph");
+  const std::string batch_path = flags.String("batch");
+  const std::string idem_key = flags.String("idem-key");
+  const std::string out_path = flags.String("out");
+  const std::string algo = flags.String("algo");
+  const std::string assign = flags.String("assign", "JV");
+  // Bare --stats asks for the daemon's serving counters, --stats FILE for
+  // one graph's.
+  const bool server_stats = flags.Has("stats") && !flags.HasValue("stats");
+  const std::string stats_path = server_stats ? "" : flags.String("stats");
+  Request request;
+  request.client = flags.String("client");
+  if (!flags.ok()) return Fail(err, flags.status());
 
   // Build the request: --ping / --shutdown / --cache-info / --stats
   // [FILE], evaluate when --mapping is present, align when --algo is
   // present. --client NAME tags the request for per-client quotas.
-  Request request;
-  request.client = flags.GetString("client");
   if (request.client.size() > kMaxNameLen) {
     return Fail(err, Status::InvalidArgument(
                          "--client must be at most " +
@@ -750,20 +642,18 @@ int CmdSubmit(const Flags& flags, std::ostream& out, std::ostream& err,
   } else if (flags.Has("cache-info")) {
     request.type = RequestType::kCacheInfo;
   } else if (flags.Has("stats")) {
-    if (flags.GetString("stats") == "true") {
-      // Bare --stats: the daemon's own serving counters (admission,
-      // quarantine, watchdog, durable cache), not graph stats.
+    if (server_stats) {
+      // The daemon's own serving counters (admission, quarantine, watchdog,
+      // durable cache), not graph stats.
       request.type = RequestType::kServerStats;
     } else {
       request.type = RequestType::kStats;
-      auto g = LoadWireGraph(flags.GetString("stats"));
+      auto g = LoadWireGraph(stats_path);
       if (!g.ok()) return Fail(err, g.status());
       request.stats.g = std::move(*g);
     }
   } else if (flags.Has("mapping")) {
     request.type = RequestType::kEvaluate;
-    const std::string g1_path = flags.GetString("g1");
-    const std::string g2_path = flags.GetString("g2");
     if (g1_path.empty() || g2_path.empty()) {
       return Fail(err, Status::InvalidArgument(
                            "submit evaluate requires --g1, --g2, --mapping"));
@@ -772,12 +662,11 @@ int CmdSubmit(const Flags& flags, std::ostream& out, std::ostream& err,
     if (!g1.ok()) return Fail(err, g1.status());
     auto g2 = ReadEdgeList(g2_path);
     if (!g2.ok()) return Fail(err, g2.status());
-    auto mapping = ReadMapping(flags.GetString("mapping"), g1->num_nodes());
+    auto mapping = ReadMapping(mapping_path, g1->num_nodes());
     if (!mapping.ok()) return Fail(err, mapping.status());
     request.evaluate.g1 = ToWire(*g1);
     request.evaluate.g2 = ToWire(*g2);
     request.evaluate.mapping.assign(mapping->begin(), mapping->end());
-    const std::string truth_path = flags.GetString("truth");
     if (!truth_path.empty()) {
       auto truth = ReadMapping(truth_path, g1->num_nodes());
       if (!truth.ok()) return Fail(err, truth.status());
@@ -785,12 +674,12 @@ int CmdSubmit(const Flags& flags, std::ostream& out, std::ostream& err,
     }
   } else if (flags.Has("put-graph")) {
     request.type = RequestType::kPutGraph;
-    auto g = LoadWireGraph(flags.GetString("put-graph"));
+    auto g = LoadWireGraph(put_graph_path);
     if (!g.ok()) return Fail(err, g.status());
     request.put_graph.g = std::move(*g);
   } else if (flags.Has("has-graph")) {
     request.type = RequestType::kHasGraph;
-    auto hash = GraphStore::ParseHashName(flags.GetString("has-graph"));
+    auto hash = GraphStore::ParseHashName(has_graph);
     if (!hash.ok()) return Fail(err, hash.status());
     request.has_graph.hash = *hash;
   } else if (flags.Has("batch")) {
@@ -798,10 +687,10 @@ int CmdSubmit(const Flags& flags, std::ostream& out, std::ostream& err,
     // a shared graph table. The JSON schema is the HTTP gateway's
     // (README), plus a CLI-only {"file": PATH} graph form expanded to an
     // inline graph here, client-side.
-    std::ifstream batch_in(flags.GetString("batch"));
+    std::ifstream batch_in(batch_path);
     if (!batch_in) {
-      return Fail(err, Status::NotFound("cannot open batch file: " +
-                                        flags.GetString("batch")));
+      return Fail(err,
+                  Status::NotFound("cannot open batch file: " + batch_path));
     }
     std::ostringstream batch_text;
     batch_text << batch_in.rdbuf();
@@ -842,11 +731,9 @@ int CmdSubmit(const Flags& flags, std::ostream& out, std::ostream& err,
   } else if (flags.Has("algo")) {
     request.type = RequestType::kAlign;
     AlignRequest& a = request.align;
-    a.algo = flags.GetString("algo");
-    a.assign = flags.GetString("assign", "JV");
+    a.algo = algo;
+    a.assign = assign;
     a.no_cache = flags.Has("no-cache");
-    const std::string g1_path = flags.GetString("g1");
-    const std::string g2_path = flags.GetString("g2");
     if (flags.Has("g1-hash") || flags.Has("g2-hash")) {
       // Submit-by-hash: name both graphs by content hash; the daemon maps
       // them from its store. Mixing a hash with an inline file is rejected
@@ -856,9 +743,9 @@ int CmdSubmit(const Flags& flags, std::ostream& out, std::ostream& err,
                              "submit align takes either --g1/--g2 files or "
                              "--g1-hash/--g2-hash, not a mix"));
       }
-      auto h1 = GraphStore::ParseHashName(flags.GetString("g1-hash"));
+      auto h1 = GraphStore::ParseHashName(g1_hash);
       if (!h1.ok()) return Fail(err, h1.status());
-      auto h2 = GraphStore::ParseHashName(flags.GetString("g2-hash"));
+      auto h2 = GraphStore::ParseHashName(g2_hash);
       if (!h2.ok()) return Fail(err, h2.status());
       a.by_hash = true;
       a.g1_hash = *h1;
@@ -876,16 +763,8 @@ int CmdSubmit(const Flags& flags, std::ostream& out, std::ostream& err,
       a.g1 = std::move(*g1);
       a.g2 = std::move(*g2);
     }
-    if (flags.Has("time-limit")) {
-      auto limit = StrictDoubleFlag(flags, "time-limit", 0.0);
-      if (!limit.ok()) return Fail(err, limit.status());
-      a.deadline_ms = static_cast<uint64_t>(*limit * 1000.0);
-    }
-    if (flags.Has("mem-limit")) {
-      auto mb = StrictDoubleFlag(flags, "mem-limit", 0.0);
-      if (!mb.ok()) return Fail(err, mb.status());
-      a.mem_limit_mb = static_cast<uint64_t>(*mb);
-    }
+    a.deadline_ms = static_cast<uint64_t>(time_limit * 1000.0);
+    a.mem_limit_mb = static_cast<uint64_t>(mem_limit_mb);
   } else {
     return Fail(err, Status::InvalidArgument(
                          "submit requires an action: --ping, --shutdown, "
@@ -903,7 +782,6 @@ int CmdSubmit(const Flags& flags, std::ostream& out, std::ostream& err,
       return Fail(err, Status::InvalidArgument(
                            "--async applies to align submissions only"));
     }
-    const std::string idem_key = flags.GetString("idem-key");
     if (idem_key.size() > kMaxNameLen) {
       return Fail(err, Status::InvalidArgument(
                            "--idem-key must be at most " +
@@ -926,8 +804,7 @@ int CmdSubmit(const Flags& flags, std::ostream& out, std::ostream& err,
       request.type == RequestType::kJobStatus ||
       request.type == RequestType::kJobResult ||
       request.type == RequestType::kCancelJob) {
-    return PrintJobResponse(request, *response, flags.GetString("out"), out,
-                            err);
+    return PrintJobResponse(request, *response, out_path, out, err);
   }
   if (request.type == RequestType::kAlignBatch) {
     // Batches carry per-job detail even on PARTIAL or a uniform failure
@@ -1066,8 +943,8 @@ int CmdSubmit(const Flags& flags, std::ostream& out, std::ostream& err,
       return result->present ? kExitOk : kExitNoGraph;
     }
     case RequestType::kAlign:
-      return PrintAlignResponse(*response, request.align, align_n1,
-                                flags.GetString("out"), out, err);
+      return PrintAlignResponse(*response, request.align, align_n1, out_path,
+                                out, err);
     case RequestType::kAlignBatch:
     case RequestType::kSubmitJob:
     case RequestType::kJobStatus:
@@ -1081,7 +958,7 @@ int CmdSubmit(const Flags& flags, std::ostream& out, std::ostream& err,
 // Lists every fault-injection site compiled into this binary, one per line
 // (the machine-readable counterpart of DESIGN.md §12). tools/run_chaos.sh
 // iterates this output to arm each site in turn via GRAPHALIGN_FAILPOINTS.
-int CmdFailpoints(const Flags& flags, std::ostream& out, std::ostream& err) {
+int CmdFailpoints(FlagReader& flags, std::ostream& out, std::ostream& err) {
   if (flags.Has("armed")) {
     for (const std::string& spec : ArmedFailpoints()) out << spec << "\n";
     return kExitOk;
@@ -1094,15 +971,19 @@ int CmdFailpoints(const Flags& flags, std::ostream& out, std::ostream& err) {
 // ---------------------------------------------------------------------------
 // store: offline management of the content-addressed graph repository.
 
-int CmdStoreImport(GraphStore& store, const Flags& flags, std::ostream& out,
+int CmdStoreImport(GraphStore& store, FlagReader& flags, std::ostream& out,
                    std::ostream& err) {
+  const std::string in = flags.String("in");
+  const std::string dataset = flags.String("dataset");
+  const uint64_t seed = flags.Uint64("seed", kDefaultSeed);
+  const double scale = flags.Double("scale", 1.0, kPositive, 1.0);
+  if (!flags.ok()) return Fail(err, flags.status());
   Result<Graph> g = Status::InvalidArgument(
       "store import requires --in FILE or --dataset NAME");
   if (flags.Has("in")) {
-    g = ReadEdgeList(flags.GetString("in"));
+    g = ReadEdgeList(in);
   } else if (flags.Has("dataset")) {
-    g = MakeStandIn(flags.GetString("dataset"), flags.GetSeed(),
-                    flags.GetDouble("scale", 1.0));
+    g = MakeStandIn(dataset, seed, scale);
   }
   if (!g.ok()) return Fail(err, g.status());
   bool already = false;
@@ -1148,15 +1029,16 @@ int CmdStoreGc(GraphStore& store, std::ostream& out, std::ostream& err) {
 // text parse-load against GST1 mmap-open (full CRC + structural
 // verification included — the honest cost of the store path). Best-of-reps
 // per graph; --json writes the BENCH-convention report.
-int CmdStoreBench(GraphStore& store, const Flags& flags, std::ostream& out,
+int CmdStoreBench(GraphStore& store, FlagReader& flags, std::ostream& out,
                   std::ostream& err) {
-  const std::string in = flags.GetString("in");
+  const std::string in = flags.String("in");
+  const int reps = flags.Int("reps", 5, 1, kMaxInt);
+  const std::string json_path = flags.String("json");
+  if (!flags.ok()) return Fail(err, flags.status());
   if (in.empty()) {
     return Fail(err,
                 Status::InvalidArgument("store bench requires --in FILE[,..]"));
   }
-  auto reps = StrictIntFlag(flags, "reps", 5);
-  if (!reps.ok()) return Fail(err, reps.status());
   std::vector<std::string> paths;
   for (size_t pos = 0; pos < in.size();) {
     const size_t comma = in.find(',', pos);
@@ -1173,14 +1055,14 @@ int CmdStoreBench(GraphStore& store, const Flags& flags, std::ostream& out,
     const std::string gst_path =
         store.dir() + "/" + GraphStore::HashName(*hash) + ".gst";
     double parse_s = 0.0, mmap_s = 0.0;
-    for (int r = 0; r < *reps; ++r) {
+    for (int r = 0; r < reps; ++r) {
       WallTimer t;
       auto reread = ReadEdgeList(paths[i]);
       if (!reread.ok()) return Fail(err, reread.status());
       const double s = t.Seconds();
       if (r == 0 || s < parse_s) parse_s = s;
     }
-    for (int r = 0; r < *reps; ++r) {
+    for (int r = 0; r < reps; ++r) {
       WallTimer t;
       auto mapped = OpenGstFile(gst_path);
       if (!mapped.ok()) return Fail(err, mapped.status());
@@ -1199,13 +1081,12 @@ int CmdStoreBench(GraphStore& store, const Flags& flags, std::ostream& out,
          << ", \"mmap_ms\": " << Table::Num(mmap_s * 1000.0, 3)
          << ", \"speedup\": " << Table::Num(speedup, 1) << "}";
   }
-  const std::string json_path = flags.GetString("json");
   if (!json_path.empty()) {
     std::ofstream f(json_path);
     if (!f) {
       return Fail(err, Status::Internal("cannot write " + json_path));
     }
-    f << "{\n  \"meta\": {\"bench\": \"store\", \"reps\": " << *reps
+    f << "{\n  \"meta\": {\"bench\": \"store\", \"reps\": " << reps
       << "},\n  \"rows\": [\n" << rows.str() << "\n  ]\n}\n";
     if (!f.flush()) {
       return Fail(err, Status::Internal("write failed: " + json_path));
@@ -1215,19 +1096,15 @@ int CmdStoreBench(GraphStore& store, const Flags& flags, std::ostream& out,
   return kExitOk;
 }
 
-int CmdStore(int argc, const char* const* argv, std::ostream& out,
+int CmdStore(const std::string& action, FlagReader& flags, std::ostream& out,
              std::ostream& err) {
-  if (argc < 3) {
+  if (action.empty()) {
     err << "usage: graphalign store <import|ls|verify|gc|bench> --dir DIR "
            "[--flags]\n";
     return kExitUsage;
   }
-  const std::string action = argv[2];
-  Flags flags(argc, argv, 3);
-  if (!flags.error().empty()) {
-    return Fail(err, Status::InvalidArgument(flags.error()));
-  }
-  const std::string dir = flags.GetString("dir");
+  const std::string dir = flags.String("dir");
+  if (!flags.ok()) return Fail(err, flags.status());
   if (dir.empty()) {
     return Fail(err, Status::InvalidArgument("store " + action +
                                              " requires --dir DIR"));
@@ -1251,20 +1128,13 @@ int CmdStore(int argc, const char* const* argv, std::ostream& out,
 // cancel talk to a live daemon; ls/gc open the journal directly (the
 // CmdStore model) and must not race a daemon on the same --dir.
 
-uint64_t NowUnixMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-int CmdJobsLs(const Flags& flags, std::ostream& out, std::ostream& err) {
+int CmdJobsLs(FlagReader& flags, std::ostream& out, std::ostream& err) {
   JobManagerOptions options;
-  options.dir = flags.GetString("dir");
+  options.dir = flags.String("dir");
   // Opening replays the journal, which also journals crash recovery for
   // any RUNNING jobs it finds — correct offline (a RUNNING job with no
   // daemon attached IS a crashed attempt), wrong against a live daemon.
-  auto manager = JobManager::Open(options, NowUnixMs());
+  auto manager = JobManager::Open(options, UnixMs());
   if (!manager.ok()) return Fail(err, manager.status());
   const std::vector<JobRecord> jobs = (*manager)->List();
   for (const JobRecord& r : jobs) {
@@ -1279,15 +1149,15 @@ int CmdJobsLs(const Flags& flags, std::ostream& out, std::ostream& err) {
   return kExitOk;
 }
 
-int CmdJobsGc(const Flags& flags, std::ostream& out, std::ostream& err) {
+int CmdJobsGc(FlagReader& flags, std::ostream& out, std::ostream& err) {
   JobManagerOptions options;
-  options.dir = flags.GetString("dir");
-  auto ttl = StrictDoubleFlag(flags, "ttl", options.ttl_seconds);
-  if (!ttl.ok()) return Fail(err, ttl.status());
-  options.ttl_seconds = *ttl;
-  auto manager = JobManager::Open(options, NowUnixMs());
+  options.dir = flags.String("dir");
+  options.ttl_seconds =
+      flags.Double("ttl", options.ttl_seconds, kPositive, kMaxDouble);
+  if (!flags.ok()) return Fail(err, flags.status());
+  auto manager = JobManager::Open(options, UnixMs());
   if (!manager.ok()) return Fail(err, manager.status());
-  Status gc = (*manager)->Gc(NowUnixMs());
+  Status gc = (*manager)->Gc(UnixMs());
   if (!gc.ok()) return Fail(err, gc);
   const JobManagerStats stats = (*manager)->Stats();
   out << "gced=" << stats.gced << " journal_bytes=" << stats.journal_bytes
@@ -1295,22 +1165,18 @@ int CmdJobsGc(const Flags& flags, std::ostream& out, std::ostream& err) {
   return kExitOk;
 }
 
-int CmdJobs(int argc, const char* const* argv, std::ostream& out,
+int CmdJobs(const std::string& action, FlagReader& flags, std::ostream& out,
             std::ostream& err) {
-  if (argc < 3) {
+  if (action.empty()) {
     err << "usage: graphalign jobs <submit|status|result|cancel|ls|gc> "
            "[--flags]\n";
     return kExitUsage;
   }
-  const std::string action = argv[2];
-  Flags flags(argc, argv, 3);
-  if (!flags.error().empty()) {
-    return Fail(err, Status::InvalidArgument(flags.error()));
-  }
+  if (!flags.ok()) return Fail(err, flags.status());
   // `jobs submit` is `submit --async` under its canonical name.
   if (action == "submit") return CmdSubmit(flags, out, err, true);
   if (action == "ls" || action == "gc") {
-    if (flags.GetString("dir").empty()) {
+    if (flags.String("dir").empty()) {
       return Fail(err, Status::InvalidArgument("jobs " + action +
                                                " requires --dir DIR"));
     }
@@ -1322,30 +1188,19 @@ int CmdJobs(int argc, const char* const* argv, std::ostream& out,
         << " (want submit|status|result|cancel|ls|gc)\n";
     return kExitUsage;
   }
-  ClientOptions conn;
-  conn.socket_path = flags.GetString("socket");
-  if (flags.Has("port")) {
-    auto port = ParseStrictUint64(flags.GetString("port"));
-    if (!port.ok() || *port == 0 || *port > 65535) {
-      return Fail(err, Status::InvalidArgument(
-                           "--port must be an integer in 1..65535, got '" +
-                           flags.GetString("port") + "'"));
-    }
-    conn.port = static_cast<int>(*port);
-  }
-  conn.host = flags.GetString("host", conn.host);
-  auto timeout = StrictDoubleFlag(flags, "timeout", conn.timeout_seconds);
-  if (!timeout.ok()) return Fail(err, timeout.status());
-  conn.timeout_seconds = *timeout;
-  auto id = GraphStore::ParseHashName(flags.GetString("id"));
+  const ClientOptions conn = ReadConnection(flags);
+  const std::string id_text = flags.String("id");
+  const std::string out_path = flags.String("out");
+  Request request;
+  request.client = flags.String("client");
+  if (!flags.ok()) return Fail(err, flags.status());
+  auto id = GraphStore::ParseHashName(id_text);
   if (!id.ok()) {
     return Fail(err, Status::InvalidArgument(
                          "jobs " + action +
                          " requires --id JOBID (16 hex digits, as printed "
                          "by submit --async)"));
   }
-  Request request;
-  request.client = flags.GetString("client");
   request.type = action == "status"   ? RequestType::kJobStatus
                  : action == "result" ? RequestType::kJobResult
                                       : RequestType::kCancelJob;
@@ -1354,8 +1209,7 @@ int CmdJobs(int argc, const char* const* argv, std::ostream& out,
   if (!response.ok()) return Fail(err, response.status());
   out << "status=" << ResponseCodeName(response->code)
       << " elapsed_us=" << response->elapsed_us << "\n";
-  return PrintJobResponse(request, *response, flags.GetString("out"), out,
-                          err);
+  return PrintJobResponse(request, *response, out_path, out, err);
 }
 
 constexpr char kUsage[] =
@@ -1428,14 +1282,13 @@ int RunCli(int argc, const char* const* argv, std::ostream& out,
     return kExitUsage;
   }
   const std::string cmd = argv[1];
-  // `store` and `jobs` have a positional action word; they parse their own
-  // flags.
-  if (cmd == "store") return CmdStore(argc, argv, out, err);
-  if (cmd == "jobs") return CmdJobs(argc, argv, out, err);
-  Flags flags(argc, argv, 2);
-  if (!flags.error().empty()) {
-    return Fail(err, Status::InvalidArgument(flags.error()));
-  }
+  // `store` and `jobs` take a positional action word before their flags.
+  const bool has_action = cmd == "store" || cmd == "jobs";
+  const std::string action = has_action && argc > 2 ? argv[2] : "";
+  FlagReader flags(argc, argv, has_action ? 3 : 2);
+  if (cmd == "store") return CmdStore(action, flags, out, err);
+  if (cmd == "jobs") return CmdJobs(action, flags, out, err);
+  if (!flags.ok()) return Fail(err, flags.status());
   if (cmd == "generate") return CmdGenerate(flags, out, err);
   if (cmd == "perturb") return CmdPerturb(flags, out, err);
   if (cmd == "align") return CmdAlign(flags, out, err);

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <thread>
 
+#include "common/flags.h"
 #include "common/random.h"
 
 namespace graphalign {
@@ -221,28 +222,21 @@ class FailpointRegistry {
     } else if (mode == "oom") {
       armed->mode = Mode::kOom;
     } else if (mode == "delay-ms") {
-      char* end = nullptr;
-      armed->arg = std::strtod(arg.c_str(), &end);
-      if (arg.empty() || end == nullptr || *end != '\0' || armed->arg < 0.0) {
-        return Status::InvalidArgument(
-            "failpoint " + name + ": delay-ms needs a non-negative "
-            "millisecond argument, got '" + arg + "'");
-      }
+      GA_ASSIGN_OR_RETURN(armed->arg,
+                          ParseDouble(arg, 0.0, kMaxDouble,
+                                      "failpoint " + name + " delay-ms",
+                                      "milliseconds"));
       armed->mode = Mode::kDelay;
     } else if (mode == "prob") {
-      char* end = nullptr;
-      armed->arg = std::strtod(arg.c_str(), &end);
-      if (arg.empty() || end == nullptr || *end != '\0' || armed->arg < 0.0 ||
-          armed->arg > 1.0) {
-        return Status::InvalidArgument(
-            "failpoint " + name + ": prob needs a probability in [0,1], "
-            "got '" + arg + "'");
-      }
+      GA_ASSIGN_OR_RETURN(
+          armed->arg,
+          ParseDouble(arg, 0.0, 1.0, "failpoint " + name + " prob"));
       armed->mode = Mode::kProb;
       uint64_t seed = 2023;
       const char* env_seed = getenv("GRAPHALIGN_FAILPOINT_SEED");
       if (env_seed != nullptr && env_seed[0] != '\0') {
-        seed = std::strtoull(env_seed, nullptr, 10);
+        GA_ASSIGN_OR_RETURN(seed, ParseUint64(env_seed, 0, kMaxUint64,
+                                              "GRAPHALIGN_FAILPOINT_SEED"));
       }
       armed->rng = Rng(seed ^ Fnv1a(name));
     } else {

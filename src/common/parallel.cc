@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "common/flags.h"
 
 namespace graphalign {
 
@@ -58,12 +61,10 @@ class Pool {
 
  private:
   Pool() {
-    int threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (const char* env = std::getenv("GRAPHALIGN_THREADS")) {
-      const int parsed = std::atoi(env);
-      if (parsed > 0) threads = parsed;
-    }
-    threads = std::max(1, threads);
+    const int threads = std::max(
+        1, ThreadCountFromEnv(
+               std::getenv("GRAPHALIGN_THREADS"),
+               static_cast<int>(std::thread::hardware_concurrency())));
     owner_pid_ = getpid();
     workers_ = threads - 1;
     g_workers_started.store(workers_, std::memory_order_relaxed);
@@ -116,6 +117,15 @@ class Pool {
 };
 
 }  // namespace
+
+int ThreadCountFromEnv(const char* value, int hardware) {
+  if (value == nullptr || value[0] == '\0') return hardware;
+  auto n = ParseInt(value, 1, kMaxThreads, "GRAPHALIGN_THREADS");
+  if (n.ok()) return static_cast<int>(*n);
+  std::fprintf(stderr, "%s; using the hardware thread count\n",
+               n.status().message().c_str());
+  return hardware;
+}
 
 int ParallelThreadCount() { return Pool::Instance().thread_count(); }
 

@@ -15,6 +15,14 @@
 
 namespace graphalign {
 
+// The largest pool GRAPHALIGN_THREADS or --threads may ask for.
+inline constexpr int kMaxThreads = 1024;
+
+// Pool size for a GRAPHALIGN_THREADS value: the value when it is an integer
+// in 1..kMaxThreads, else `hardware`. Unset or empty means `hardware`;
+// anything else out of range is reported on stderr.
+int ThreadCountFromEnv(const char* value, int hardware);
+
 // Number of worker threads the pool uses (>= 1).
 int ParallelThreadCount();
 

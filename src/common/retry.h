@@ -22,6 +22,9 @@
 
 namespace graphalign {
 
+// The most retries --retries accepts (CLI submit and the bench harness).
+inline constexpr int kMaxRetries = 100;
+
 struct RetryPolicy {
   int max_attempts = 3;            // Total tries, including the first.
   double initial_backoff_ms = 100.0;

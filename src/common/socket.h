@@ -17,6 +17,8 @@
 
 namespace graphalign {
 
+inline constexpr int kMaxPort = 65535;
+
 // A listening Unix stream socket at `path` (backlog 64). A stale socket
 // file at `path` is unlinked first, so a restart after a crash can bind.
 // InvalidArgument when `path` is longer than a Unix socket address holds

@@ -3,6 +3,7 @@
 #define GRAPHALIGN_COMMON_TIMER_H_
 
 #include <chrono>
+#include <cstdint>
 
 namespace graphalign {
 
@@ -29,6 +30,15 @@ inline double ElapsedSeconds(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        since)
       .count();
+}
+
+// Wall-clock Unix time in milliseconds, for timestamps that must survive a
+// restart (job journal records); steady_clock cannot be persisted.
+inline uint64_t UnixMs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
 }
 
 }  // namespace graphalign

@@ -1,9 +1,9 @@
 #include "jobs/manager.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
+#include "common/timer.h"
 #include "common/wire.h"
 
 namespace graphalign {
@@ -19,13 +19,6 @@ constexpr uint8_t kEventState = 1;
 // payload limit; the small strings get tight caps of their own.
 constexpr size_t kMaxIdemKeyLen = 256;
 constexpr size_t kMaxEventMessageLen = 4096;
-
-uint64_t WallClockMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
 
 }  // namespace
 
@@ -295,7 +288,7 @@ bool JobManager::ClaimNext(JobRecord* out,
     JobRecord& rec = it->second;
     rec.state = JobState::kRunning;
     rec.attempts += 1;
-    rec.updated_unix_ms = WallClockMs();
+    rec.updated_unix_ms = UnixMs();
     rec.message.clear();
     // Journal the claim before running. If the append fails the execution
     // proceeds anyway — the job was durably ACCEPTED, so a crash now only

@@ -48,15 +48,6 @@ struct AlignSpec {
   bool no_cache = false;
 };
 
-// Wall-clock Unix time for job journal timestamps (steady_clock cannot be
-// persisted across restarts).
-uint64_t UnixMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
 // Backoff hints attached to transient rejections (Retry-After over HTTP).
 // BUSY/SHED clear quickly once the queue moves; a drain means "find another
 // instance", which deserves a longer pause.

@@ -179,7 +179,7 @@ TEST_P(AllAlignersTest, BetterThanRandomUnderNoise) {
 // Paper finding (§6.2/§6.3): robustness ordering and assignment effects.
 
 TEST_F(AlignFixture, GwFamilyIsMostNoiseRobust) {
-  for (const std::string& name : {"GWL", "S-GWL", "CONE"}) {
+  for (const std::string name : {"GWL", "S-GWL", "CONE"}) {
     auto aligner = MakeAligner(name);
     ASSERT_TRUE(aligner.ok());
     EXPECT_GE(JvAccuracy(aligner->get(), *noisy_), 0.85) << name;

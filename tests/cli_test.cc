@@ -1,3 +1,5 @@
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <fstream>
 #include <regex>
@@ -61,7 +63,7 @@ TEST(CliTest, GenerateUnknownModelFails) {
 }
 
 TEST(CliTest, GenerateAllModels) {
-  for (const std::string& model : {"er", "ba", "ws", "nw", "pl", "geometric"}) {
+  for (const std::string model : {"er", "ba", "ws", "nw", "pl", "geometric"}) {
     const std::string path = TempPath("gen_" + model + ".txt");
     CliResult r = RunTool({"generate", "--model", model, "--n", "50", "--out",
                        path, "--seed", "3"});
@@ -379,6 +381,135 @@ TEST(CliTest, SparseAlignRejectsUnknownAssignment) {
   EXPECT_NE(r.err.find("unknown assignment method: XX"), std::string::npos)
       << r.err;
   std::remove(g1.c_str());
+}
+
+// Numeric flags are read as whole strings and checked against their range.
+// Each of these was once misread silently ("20x" as 20, "-1" as 2^64 - 1,
+// "abc" as 0, "64MB" as 64); now each fails and the message names the flag.
+TEST(CliTest, MalformedNumbersNameTheFlag) {
+  const std::string g1 = TempPath("num_g1.txt");
+  const std::string out = TempPath("num_out.txt");
+  const std::string dir = TempPath("num_store");
+  std::remove(out.c_str());  // A run that misread a flag may have left it.
+  ASSERT_EQ(RunTool({"generate", "--model", "er", "--n", "20", "--p", "0.2",
+                     "--seed", "1", "--out", g1})
+                .exit_code,
+            0);
+  struct Case {
+    std::vector<std::string> args;
+    std::string flag;
+  };
+  const std::vector<Case> cases = {
+      {{"generate", "--model", "er", "--n", "20x", "--out", out}, "--n"},
+      {{"generate", "--model", "er", "--n", "20", "--p", "0.2x", "--out",
+        out},
+       "--p"},
+      {{"generate", "--model", "er", "--n", "20", "--seed", "-1", "--out",
+        out},
+       "--seed"},
+      {{"perturb", "--in", g1, "--level", "abc", "--out", out}, "--level"},
+      {{"align", "--g1", g1, "--g2", g1, "--algo", "NSD", "--time-limit",
+        "5x"},
+       "--time-limit"},
+      {{"align", "--g1", g1, "--g2", g1, "--algo", "NSD", "--isolate",
+        "--mem-limit", "64MB"},
+       "--mem-limit"},
+      {{"align", "--g1", g1, "--g2", g1, "--algo", "NSD", "--sparse",
+        "--lsh-bands", "8x"},
+       "--lsh-bands"},
+      {{"serve", "--port", "65536"}, "--port"},
+      {{"serve", "--port", "0", "--quarantine", "-1"}, "--quarantine"},
+      {{"serve", "--port", "0", "--grace", "nan"}, "--grace"},
+      {{"submit", "--port", "0", "--ping"}, "--port"},
+      {{"submit", "--port", "1", "--retries", "101", "--ping"}, "--retries"},
+      {{"submit", "--port", "1", "--timeout", "inf", "--ping"}, "--timeout"},
+      {{"jobs", "status", "--port", "70000", "--id", "0000000000000000"},
+       "--port"},
+      {{"store", "bench", "--dir", dir, "--in", g1, "--reps", "0"}, "--reps"},
+  };
+  for (const Case& c : cases) {
+    CliResult r = RunTool(c.args);
+    EXPECT_EQ(r.exit_code, 1) << c.flag << ": " << r.out;
+    EXPECT_NE(r.err.find("invalid value"), std::string::npos)
+        << c.flag << ": " << r.err;
+    EXPECT_NE(r.err.find("for " + c.flag + " (expected"), std::string::npos)
+        << r.err;
+    // Flags are checked before any work: nothing was written.
+    EXPECT_FALSE(std::ifstream(out).good()) << c.flag;
+  }
+  std::remove(g1.c_str());
+}
+
+TEST(CliTest, ValueTakingFlagWithoutValueFails) {
+  CliResult r = RunTool({"generate", "--model", "er", "--n", "--out",
+                         TempPath("novalue.txt")});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("missing value for --n"), std::string::npos) << r.err;
+}
+
+// The edges of each range still mean what they meant: seed 0, noise level 0
+// and zero retries are accepted.
+TEST(CliTest, EdgeValuesStillAccepted) {
+  const std::string g1 = TempPath("edge_g1.txt");
+  const std::string g2 = TempPath("edge_g2.txt");
+  CliResult gen = RunTool({"generate", "--model", "er", "--n", "20", "--p",
+                           "0.2", "--seed", "0", "--out", g1});
+  ASSERT_EQ(gen.exit_code, 0) << gen.err;
+  CliResult pert = RunTool({"perturb", "--in", g1, "--level", "0", "--seed",
+                            "0", "--no-permute", "--out", g2});
+  ASSERT_EQ(pert.exit_code, 0) << pert.err;
+  EXPECT_NE(pert.out.find("level=0)"), std::string::npos) << pert.out;
+  std::ifstream a(g1), b(g2);
+  std::ostringstream sa, sb;
+  sa << a.rdbuf();
+  sb << b.rdbuf();
+  EXPECT_EQ(sa.str(), sb.str());  // Zero noise, no permutation: a copy.
+  // Parsing succeeds; only the connection to the missing daemon fails.
+  CliResult sub = RunTool({"submit", "--socket", TempPath("no_daemon.sock"),
+                           "--retries", "0", "--timeout", "1", "--ping"});
+  EXPECT_EQ(sub.exit_code, 1);
+  EXPECT_EQ(sub.err.find("invalid value"), std::string::npos) << sub.err;
+  std::remove(g1.c_str());
+  std::remove(g2.c_str());
+}
+
+// loadgen reads its flags with the same reader and keeps its usage exit.
+struct LoadgenRun {
+  int exit_code;
+  std::string err;
+};
+
+LoadgenRun RunLoadgen(const std::string& args) {
+  const std::string cmd =
+      std::string(GA_LOADGEN_PATH) + " " + args + " 2>&1 > /dev/null";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return {-1, "popen failed"};
+  std::string err;
+  char buf[512];
+  for (size_t n; (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0;) {
+    err.append(buf, n);
+  }
+  const int status = pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, err};
+}
+
+TEST(LoadgenFlagsTest, MalformedValuesExitWithUsage) {
+  const std::string sock = "--socket " + TempPath("no_daemon.sock");
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {sock + " --clients 2x --requests 1",
+       "invalid value '2x' for --clients"},
+      {sock + " --mix miss:3x --clients 1 --requests 1",
+       "bad --mix 'miss:3x'"},
+      {sock + " --nodes 7", "invalid value '7' for --nodes"},
+      {"--port 0", "invalid value '0' for --port"},
+      {sock + " --bogus 1", "unknown flag '--bogus'"},
+  };
+  for (const auto& [args, message] : cases) {
+    LoadgenRun r = RunLoadgen(args);
+    EXPECT_EQ(r.exit_code, 1) << args;
+    EXPECT_NE(r.err.find(message), std::string::npos) << args << ": " << r.err;
+    EXPECT_NE(r.err.find("usage:"), std::string::npos) << args;
+  }
 }
 
 }  // namespace

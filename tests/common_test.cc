@@ -8,8 +8,8 @@
 
 #include "common/crc32.h"
 #include "common/exit_codes.h"
+#include "common/flags.h"
 #include "common/memory.h"
-#include "common/parse.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/table.h"
@@ -227,35 +227,36 @@ TEST(TableTest, CsvEscaping) {
 }
 
 TEST(ParseTest, StrictPositiveIntAcceptsWholeNumbers) {
-  auto v = ParseStrictPositiveInt("42");
+  auto v = ParseInt("42", 1, kMaxInt);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, 42);
-  EXPECT_EQ(*ParseStrictPositiveInt("1"), 1);
+  EXPECT_EQ(*ParseInt("1", 1, kMaxInt), 1);
 }
 
 TEST(ParseTest, StrictPositiveIntRejectsJunk) {
   for (const char* bad : {"", "0", "-3", "4x", "x4", "4.5", " 4", "4 ",
                           "99999999999999999999", "+", "--2", "0x10"}) {
-    EXPECT_FALSE(ParseStrictPositiveInt(bad).ok()) << "'" << bad << "'";
+    EXPECT_FALSE(ParseInt(bad, 1, kMaxInt).ok()) << "'" << bad << "'";
   }
 }
 
 TEST(ParseTest, StrictPositiveDouble) {
-  auto v = ParseStrictPositiveDouble("2.5");
+  auto v = ParseDouble("2.5", kPositive, kMaxDouble);
   ASSERT_TRUE(v.ok());
   EXPECT_DOUBLE_EQ(*v, 2.5);
   for (const char* bad : {"", "0", "-1.5", "2.5x", "nan", "inf", "1e400"}) {
-    EXPECT_FALSE(ParseStrictPositiveDouble(bad).ok()) << "'" << bad << "'";
+    EXPECT_FALSE(ParseDouble(bad, kPositive, kMaxDouble).ok())
+        << "'" << bad << "'";
   }
 }
 
 TEST(ParseTest, StrictUint64) {
-  auto v = ParseStrictUint64("18446744073709551615");  // 2^64 - 1.
+  auto v = ParseUint64("18446744073709551615", 0, kMaxUint64);  // 2^64 - 1.
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, 18446744073709551615ull);
-  EXPECT_EQ(*ParseStrictUint64("0"), 0ull);  // Zero is a valid uint64.
+  EXPECT_EQ(*ParseUint64("0", 0, kMaxUint64), 0ull);  // Zero is valid.
   for (const char* bad : {"", "-1", "18446744073709551616", "12a", "1.0"}) {
-    EXPECT_FALSE(ParseStrictUint64(bad).ok()) << "'" << bad << "'";
+    EXPECT_FALSE(ParseUint64(bad, 0, kMaxUint64).ok()) << "'" << bad << "'";
   }
 }
 

@@ -39,7 +39,7 @@ TEST(StandInTest, UnknownNameAndBadScaleRejected) {
 TEST(StandInTest, FullScaleMatchesTable2Sizes) {
   // Spot-check a few cheap stand-ins: node count exact, edge count within
   // 30% of the original (generators control density only approximately).
-  for (const std::string& name :
+  for (const std::string name :
        {"Arenas", "ca-netscience", "HighSchool", "Voles", "bio-celegans",
         "inf-euroroad"}) {
     DatasetSpec spec;
@@ -260,6 +260,46 @@ TEST(BenchArgsTest, FullImpliesIsolationUnlessOptedOut) {
   EXPECT_FALSE(ParseBenchArgs(3, const_cast<char**>(opt_out_argv)).isolate);
   const char* smoke_argv[] = {"bench"};
   EXPECT_FALSE(ParseBenchArgs(1, const_cast<char**>(smoke_argv)).isolate);
+}
+
+TEST(BenchArgsTest, ZeroRetriesAndSeedAreAccepted) {
+  const char* argv[] = {"bench", "--retries", "0", "--seed", "0"};
+  BenchArgs args = ParseBenchArgs(5, const_cast<char**>(argv));
+  EXPECT_EQ(args.retries, 0);
+  EXPECT_EQ(args.seed, 0u);
+}
+
+// Every malformed command line exits 2 with a one-line message; none of
+// them aborts or is read as a different value.
+TEST(BenchArgsDeathTest, MissingValueExitsWithUsage) {
+  const char* argv[] = {"bench", "--reps"};
+  EXPECT_EXIT(ParseBenchArgs(2, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "missing value for --reps");
+}
+
+TEST(BenchArgsDeathTest, NegativeSeedDoesNotWrap) {
+  const char* argv[] = {"bench", "--seed", "-1"};
+  EXPECT_EXIT(ParseBenchArgs(3, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "invalid value '-1' for --seed");
+}
+
+TEST(BenchArgsDeathTest, RetriesAboveCapIsRejected) {
+  const char* argv[] = {"bench", "--retries", "101"};
+  EXPECT_EXIT(ParseBenchArgs(3, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2),
+              "invalid value '101' for --retries");
+}
+
+TEST(BenchArgsDeathTest, SwitchGivenAValueIsRejected) {
+  const char* argv[] = {"bench", "--full", "5"};
+  EXPECT_EXIT(ParseBenchArgs(3, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "--full takes no value");
+}
+
+TEST(BenchArgsDeathTest, UnknownFlagIsRejected) {
+  const char* argv[] = {"bench", "--reps", "2", "--bogus"};
+  EXPECT_EXIT(ParseBenchArgs(4, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "unknown flag --bogus");
 }
 
 TEST(JournalTest, RecordsAndResumes) {

@@ -96,7 +96,9 @@ TEST(GraphTest, NormalizedLaplacianProperties) {
     EXPECT_DOUBLE_EQ(l(i, i), 1.0);
     for (int j = 0; j < 4; ++j) {
       EXPECT_DOUBLE_EQ(l(i, j), l(j, i));
-      if (g.HasEdge(i, j)) EXPECT_DOUBLE_EQ(l(i, j), -0.5);
+      if (g.HasEdge(i, j)) {
+        EXPECT_DOUBLE_EQ(l(i, j), -0.5);
+      }
     }
   }
 }

@@ -109,7 +109,9 @@ TEST(MultiAlignTest, ComposedCrossAlignmentIsConsistent) {
   auto map11 = ComposeAlignment(*result, fx.graphs, 1, 1);
   ASSERT_TRUE(map11.ok());
   for (size_t u = 0; u < map11->size(); ++u) {
-    if ((*map11)[u] >= 0) EXPECT_EQ((*map11)[u], static_cast<int>(u));
+    if ((*map11)[u] >= 0) {
+      EXPECT_EQ((*map11)[u], static_cast<int>(u));
+    }
   }
 }
 

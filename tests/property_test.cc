@@ -75,7 +75,9 @@ TEST_P(GeneratorPropertyTest, ProducesSimpleGraphOfRequestedSize) {
     degree_sum += static_cast<int64_t>(nbrs.size());
     for (size_t i = 0; i < nbrs.size(); ++i) {
       EXPECT_NE(nbrs[i], v);
-      if (i > 0) EXPECT_LT(nbrs[i - 1], nbrs[i]);
+      if (i > 0) {
+        EXPECT_LT(nbrs[i - 1], nbrs[i]);
+      }
     }
   }
   EXPECT_EQ(degree_sum, 2 * g->num_edges());
@@ -362,7 +364,9 @@ TEST(NetAlignTest, ValidOneToOneOutputButWeakerThanIncludedMethods) {
   ASSERT_TRUE(report.ok());
   std::set<int> used;
   for (int t : report->alignment) {
-    if (t >= 0) EXPECT_TRUE(used.insert(t).second);
+    if (t >= 0) {
+      EXPECT_TRUE(used.insert(t).second);
+    }
   }
   const double acc = Accuracy(report->alignment, prob->ground_truth);
   EXPECT_GT(acc, 0.02);  // Better than random...

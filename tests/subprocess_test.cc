@@ -129,8 +129,8 @@ TEST(RunIsolatedTest, NonCooperativeHangIsKilledAtWallCap) {
   options.wall_limit_seconds = 0.5;
   auto result = RunIsolated(
       [](int) {
-        for (volatile uint64_t spin = 0;; spin = spin + 1) {
-        }
+        volatile uint64_t spin = 0;
+        for (;;) spin = spin + 1;
         return 0;
       },
       options);
@@ -154,8 +154,8 @@ TEST(RunIsolatedTest, CancelHookKillsTheChildAndMarksIt) {
   };
   auto result = RunIsolated(
       [](int) {
-        for (volatile uint64_t spin = 0;; spin = spin + 1) {
-        }
+        volatile uint64_t spin = 0;
+        for (;;) spin = spin + 1;
         return 0;
       },
       options);
@@ -171,8 +171,8 @@ TEST(RunIsolatedTest, WallCapKillIsNotMarkedAsCancel) {
   options.cancel = [] { return false; };  // Armed but never firing.
   auto result = RunIsolated(
       [](int) {
-        for (volatile uint64_t spin = 0;; spin = spin + 1) {
-        }
+        volatile uint64_t spin = 0;
+        for (;;) spin = spin + 1;
         return 0;
       },
       options);

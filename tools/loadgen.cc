@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "common/file_io.h"
+#include "common/flags.h"
 #include "common/random.h"
 #include "common/socket.h"
 #include "common/table.h"
@@ -120,12 +121,9 @@ bool ParseMix(const std::string& spec, std::vector<MixEntry>* out) {
         e.kind != "poison" && e.kind != "batch" && e.kind != "async") {
       return false;
     }
-    try {
-      e.weight = std::stoi(part.substr(colon + 1));
-    } catch (...) {
-      return false;
-    }
-    if (e.weight < 0) return false;
+    auto weight = ParseInt(part.substr(colon + 1), 0, kMaxInt);
+    if (!weight.ok()) return false;
+    e.weight = static_cast<int>(*weight);
     if (e.weight > 0) mix.push_back(e);
     if (comma == std::string::npos) break;
     pos = comma + 1;
@@ -555,55 +553,36 @@ class Loadgen {
 
 int Main(int argc, char** argv) {
   LoadgenOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (arg == "--socket" && (v = next())) {
-      options.socket_path = v;
-    } else if (arg == "--port" && (v = next())) {
-      options.port = std::atoi(v);
-    } else if (arg == "--http-port" && (v = next())) {
-      options.http_port = std::atoi(v);
-    } else if (arg == "--clients" && (v = next())) {
-      options.clients = std::atoi(v);
-    } else if (arg == "--requests" && (v = next())) {
-      options.requests = std::atoi(v);
-    } else if (arg == "--mix" && (v = next())) {
-      if (!ParseMix(v, &options.mix)) {
-        std::fprintf(stderr, "loadgen: bad --mix '%s'\n", v);
-        return Usage(argv[0]);
-      }
-    } else if (arg == "--seed" && (v = next())) {
-      options.seed = static_cast<uint64_t>(std::strtoull(v, nullptr, 10));
-    } else if (arg == "--deadline-ms" && (v = next())) {
-      options.deadline_ms =
-          static_cast<uint64_t>(std::strtoull(v, nullptr, 10));
-    } else if (arg == "--nodes" && (v = next())) {
-      options.nodes = std::atoi(v);
-    } else if (arg == "--timeout" && (v = next())) {
-      options.timeout_seconds = std::atof(v);
-    } else if (arg == "--json" && (v = next())) {
-      options.json_path = v;
-    } else {
-      std::fprintf(stderr, "loadgen: unknown or incomplete flag '%s'\n",
-                   arg.c_str());
-      return Usage(argv[0]);
-    }
+  FlagReader flags(argc, argv, 1);
+  options.socket_path = flags.String("socket");
+  options.port = flags.Int("port", options.port, 1, kMaxPort);
+  options.http_port = flags.Int("http-port", options.http_port, 1, kMaxPort);
+  options.clients = flags.Int("clients", options.clients, 1, kMaxInt);
+  options.requests = flags.Int("requests", options.requests, 1, kMaxInt);
+  const bool has_mix = flags.Has("mix");
+  const std::string mix = flags.String("mix");
+  options.seed = flags.Uint64("seed", options.seed);
+  options.deadline_ms = flags.Uint64("deadline-ms", options.deadline_ms);
+  options.nodes = flags.Int("nodes", options.nodes, 8, kMaxInt);
+  // 0 leaves the client sockets blocking.
+  options.timeout_seconds =
+      flags.Double("timeout", options.timeout_seconds, 0.0, kMaxDouble);
+  options.json_path = flags.String("json");
+  auto usage = [&](const std::string& why) {
+    std::fprintf(stderr, "loadgen: %s\n", why.c_str());
+    return Usage(argv[0]);
+  };
+  if (!flags.ok()) return usage(flags.status().message());
+  if (const std::vector<std::string> unknown = flags.Unread();
+      !unknown.empty()) {
+    return usage("unknown flag '" + unknown.front() + "'");
+  }
+  if (has_mix && !ParseMix(mix, &options.mix)) {
+    return usage("bad --mix '" + mix + "'");
   }
   if (options.socket_path.empty() && options.port < 0 &&
       options.http_port < 0) {
-    std::fprintf(stderr,
-                 "loadgen: --socket, --port, or --http-port is required\n");
-    return Usage(argv[0]);
-  }
-  if (options.clients <= 0 || options.requests <= 0 || options.nodes < 8) {
-    std::fprintf(stderr,
-                 "loadgen: --clients/--requests must be positive, "
-                 "--nodes at least 8\n");
-    return Usage(argv[0]);
+    return usage("--socket, --port, or --http-port is required");
   }
   Loadgen loadgen(options);
   return loadgen.Run();

@@ -16,7 +16,9 @@
 # every remainder of the row and column counts mod 4. The socket suite rides
 # along because common/socket's send and receive loops do pointer
 # arithmetic over caller buffers for every daemon, gateway and helper
-# connection.
+# connection. The flag reader suite rides along because every number from
+# the command line and the environment goes through its strtol/strtod
+# end-pointer checks.
 #
 # Usage: tools/run_sanitize.sh [source-dir]
 # Exits 77 (the ctest SKIP_RETURN_CODE) when the toolchain cannot produce an
@@ -35,28 +37,17 @@ if ! c++ -fsanitize=address "$PROBE/probe.cc" -o "$PROBE/probe" 2>/dev/null; the
   exit 77
 fi
 
+# Only these suites and their dependency closure — not the whole tree.
+SUITES=(sparse_test protocol_fuzz_test record_log_test assignment_test
+  dense_golden_test linalg_test socket_test flags_test)
+
 cmake -S "$SRC" -B "$BUILD" -DGRAPHALIGN_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-# Only the sparse, protocol fuzz, record-log, assignment, dense golden,
-# linalg and socket suites, and their dependency closure — not the whole
-# tree.
-cmake --build "$BUILD" --target sparse_test protocol_fuzz_test \
-  record_log_test assignment_test dense_golden_test linalg_test socket_test \
-  -j > /dev/null
+cmake --build "$BUILD" --target "${SUITES[@]}" -j > /dev/null
 
 # halt_on_error keeps the failure visible to ctest; detect_leaks stays on so
 # candidate buffers and solver scratch are leak-checked too.
-ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/sparse_test"
-echo "sparse pipeline is clean under AddressSanitizer"
-ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/protocol_fuzz_test"
-echo "protocol decoders are clean under AddressSanitizer"
-ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/record_log_test"
-echo "record log replay is clean under AddressSanitizer"
-ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/assignment_test"
-echo "assignment extractors are clean under AddressSanitizer"
-ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/dense_golden_test"
-echo "dense kernels are clean under AddressSanitizer"
-ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/linalg_test"
-echo "linalg kernels are clean under AddressSanitizer"
-ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/socket_test"
-echo "socket module is clean under AddressSanitizer"
+for suite in "${SUITES[@]}"; do
+  ASAN_OPTIONS=halt_on_error=1 "$BUILD/tests/$suite"
+  echo "$suite is clean under AddressSanitizer"
+done
