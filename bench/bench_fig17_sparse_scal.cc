@@ -107,8 +107,7 @@ int Run(int argc, char** argv) {
               // similarity stage: its seconds column is the sum.
               if (one.similarity_seconds + one.assignment_seconds >
                   args.time_limit_seconds) {
-                one.completed = false;
-                one.error = "DNF (time limit)";
+                return TimeLimitOutcome();
               }
               return one;
             });

@@ -44,7 +44,7 @@ inline void Banner(const std::string& id, const std::string& what,
 
 // Instantiates an aligner; S-GWL gets the sparse-beta preset when requested
 // (the paper tunes beta by density, §6.4.2). Fault-injection names
-// (_CRASH/_OOM/_HANG) resolve to the bench framework's test hooks.
+// (_CRASH/_OOM/_HANG) resolve to align's fault injectors.
 inline std::unique_ptr<Aligner> MakeBenchAligner(const std::string& name,
                                                  bool sparse_graph = false) {
   if (auto fault = MakeFaultAligner(name)) return fault;

@@ -79,26 +79,17 @@ inline int RunScalabilitySweep(const std::string& figure_id,
             auto aligner = MakeBenchAligner(name, point.avg_degree < 20.0);
             const Deadline deadline =
                 Deadline::AfterSeconds(args.time_limit_seconds);
-            RunOutcome one;
             double total = 0.0;
             for (int r = 0; r < reps; ++r) {
               WallTimer timer;
               auto sim =
                   aligner->ComputeSimilarity(problem.g1, problem.g2, deadline);
               const double secs = timer.Seconds();
-              if (!sim.ok()) {
-                one.error =
-                    sim.status().code() == StatusCode::kDeadlineExceeded
-                        ? "DNF (time limit)"
-                        : sim.status().ToString();
-                return one;
-              }
-              if (secs > args.time_limit_seconds) {
-                one.error = "DNF (time limit)";
-                return one;
-              }
+              if (!sim.ok()) return FailedOutcome(sim.status());
+              if (secs > args.time_limit_seconds) return TimeLimitOutcome();
               total += secs;
             }
+            RunOutcome one;
             one.completed = true;
             one.completed_runs = reps;
             one.similarity_seconds = total / reps;
@@ -106,7 +97,7 @@ inline int RunScalabilitySweep(const std::string& figure_id,
           });
           // An over-budget point disqualifies the algorithm for all larger
           // points, mirroring the paper's cutoff.
-          if (!out.completed && out.error.rfind("DNF", 0) == 0) {
+          if (!out.completed && out.code == kExitDnf) {
             dnf.insert(name);
           }
           return FormatOutcome(out, out.similarity_seconds);

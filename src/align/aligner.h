@@ -174,6 +174,15 @@ Result<std::unique_ptr<Aligner>> MakeAligner(const std::string& name);
 // All paper algorithm names in Table-1 order.
 std::vector<std::string> AllAlignerNames();
 
+// Test-only fault injectors, reachable from every bench via --algos and
+// from daemon requests:
+//   _CRASH  raises SIGSEGV inside ComputeSimilarity
+//   _OOM    allocates unboundedly (capped at a few GB as a safety net)
+//   _HANG   spins without polling the cooperative deadline
+// They model exactly the non-cooperative failures the isolated executors
+// contain; run them only isolated. Returns nullptr for other names.
+std::unique_ptr<Aligner> MakeFaultAligner(const std::string& name);
+
 }  // namespace graphalign
 
 #endif  // GRAPHALIGN_ALIGN_ALIGNER_H_

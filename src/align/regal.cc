@@ -183,18 +183,7 @@ Result<Alignment> RegalAligner::AlignNativeImpl(const Graph& g1,
                                                 const Deadline& deadline) {
   GA_ASSIGN_OR_RETURN(DenseMatrix y, ComputeEmbeddings(g1, g2, deadline));
   GA_RETURN_IF_EXPIRED(deadline, "REGAL nearest-neighbor");
-  const int n1 = g1.num_nodes();
-  const int n2 = g2.num_nodes();
-  DenseMatrix targets(n2, y.cols());
-  for (int v = 0; v < n2; ++v) {
-    for (int j = 0; j < y.cols(); ++j) targets(v, j) = y(n1 + v, j);
-  }
-  KdTree tree(targets);
-  Alignment align(n1, -1);
-  for (int u = 0; u < n1; ++u) {
-    align[u] = tree.Nearest(y.Row(u)).index;
-  }
-  return align;
+  return NearestTargets(y, g1.num_nodes(), g2.num_nodes());
 }
 
 }  // namespace graphalign

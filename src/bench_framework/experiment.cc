@@ -1,7 +1,5 @@
 #include "bench_framework/experiment.h"
 
-#include <signal.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -28,12 +26,14 @@ namespace {
 // enough; a version tag guards against a stale parent reading a child built
 // from different code (impossible via fork, cheap to check anyway).
 
-constexpr uint32_t kWireVersion = 4;
+constexpr uint32_t kWireVersion = 5;
 
 struct WireOutcome {
   uint32_t version;
   uint8_t completed;
   uint8_t degraded;
+  uint8_t transient;
+  int32_t code;
   int32_t completed_runs;
   double accuracy, mnc, ec, ics, s3;
   double similarity_seconds, assignment_seconds, peak_mem_mb;
@@ -47,6 +47,8 @@ std::string EncodeRunOutcome(const RunOutcome& out) {
   wire.version = kWireVersion;
   wire.completed = out.completed ? 1 : 0;
   wire.degraded = out.degraded ? 1 : 0;
+  wire.transient = out.transient ? 1 : 0;
+  wire.code = out.code;
   wire.completed_runs = out.completed_runs;
   wire.accuracy = out.quality.accuracy;
   wire.mnc = out.quality.mnc;
@@ -75,6 +77,8 @@ bool DecodeRunOutcome(const std::string& bytes, RunOutcome* out) {
   }
   out->completed = wire.completed != 0;
   out->degraded = wire.degraded != 0;
+  out->transient = wire.transient != 0;
+  out->code = wire.code;
   out->completed_runs = wire.completed_runs;
   out->quality.accuracy = wire.accuracy;
   out->quality.mnc = wire.mnc;
@@ -96,15 +100,19 @@ SubprocessOptions OptionsFromArgs(const BenchArgs& args) {
       static_cast<int64_t>(args.mem_limit_mb * 1024.0 * 1024.0);
   // The cooperative Deadline inside the child handles well-behaved
   // overruns; the hard kill is only the backstop for code that stops
-  // polling (a hang in a foreign library, a livelock), so give it slack.
-  if (args.time_limit_seconds > 0.0 && args.time_limit_seconds < 1e8) {
-    opt.wall_limit_seconds = 2.0 * args.time_limit_seconds + 30.0;
-  }
+  // polling (a hang in a foreign library, a livelock).
+  opt.wall_limit_seconds = BackstopSeconds(args.time_limit_seconds);
   return opt;
 }
 
-// Forks, runs `body`, and maps every way the child can die onto the
-// outcome-error taxonomy the tables render.
+// The table cell of a run that did not complete.
+const char* CellName(int code) {
+  return code == kExitDnf || code == kExitCrash || code == kExitOom
+             ? ExitCodeName(code)
+             : "ERR";
+}
+
+// Forks, runs `body`, and classifies how the child ended.
 RunOutcome RunOutcomeInChild(const SubprocessOptions& options,
                              const std::function<RunOutcome()>& body) {
   auto run = RunIsolated(
@@ -117,108 +125,16 @@ RunOutcome RunOutcomeInChild(const SubprocessOptions& options,
         return WritePayload(payload_fd, EncodeRunOutcome(out)) ? 0 : 1;
       },
       options);
+  if (!run.ok()) return FailedOutcome(run.status());
+  const Outcome verdict = ClassifyRun(*run);
+  if (!verdict.ok()) return FailedOutcome(verdict);
   RunOutcome out;
-  if (!run.ok()) {
-    out.error = run.status().ToString();
-    return out;
-  }
-  switch (run->status) {
-    case RunStatus::kOk: {
-      if (run->payload_valid && DecodeRunOutcome(run->payload, &out)) {
-        return out;
-      }
-      out.error = "isolated child exited cleanly but returned no result";
-      return out;
-    }
-    case RunStatus::kExit:
-      out.error = "ERR (isolated child " + run->detail + ")";
-      return out;
-    case RunStatus::kCrash:
-      out.error = "CRASH (" + run->detail + ")";
-      return out;
-    case RunStatus::kOom:
-      out.error = "OOM (" + run->detail + ")";
-      return out;
-    case RunStatus::kTimeout:
-      out.error = "DNF (hard-killed at the wall-clock backstop)";
-      return out;
-  }
-  out.error = "isolated child ended in an unknown state";
-  return out;
+  if (run->payload_valid && DecodeRunOutcome(run->payload, &out)) return out;
+  return FailedOutcome(Outcome{
+      kExitError, "isolated child exited cleanly but returned no result"});
 }
-
-// ---------------------------------------------------------------------------
-// Fault-injection aligners (test hooks; see experiment.h).
-
-class FaultAligner : public Aligner {
- public:
-  enum class Kind { kCrash, kOom, kHang };
-
-  explicit FaultAligner(Kind kind) : kind_(kind) {}
-
-  std::string name() const override {
-    switch (kind_) {
-      case Kind::kCrash: return "_CRASH";
-      case Kind::kOom: return "_OOM";
-      case Kind::kHang: return "_HANG";
-    }
-    return "_FAULT";
-  }
-
-  AssignmentMethod default_assignment() const override {
-    return AssignmentMethod::kSortGreedy;
-  }
-
- protected:
-  Result<DenseMatrix> ComputeSimilarityImpl(const Graph&, const Graph&,
-                                            const Deadline&) override {
-    switch (kind_) {
-      case Kind::kCrash:
-        raise(SIGSEGV);
-        break;
-      case Kind::kOom: {
-        // Allocate-and-touch until the rlimit (or, as a safety net when run
-        // without one, a 4 GB appetite) is hit. Touching every page makes
-        // the usage resident, so RLIMIT_AS and the OOM killer both see it.
-        std::vector<std::unique_ptr<char[]>> hog;
-        constexpr size_t kChunk = 64 << 20;
-        for (int i = 0; i < 64; ++i) {
-          hog.push_back(std::make_unique<char[]>(kChunk));
-          for (size_t off = 0; off < kChunk; off += 4096) {
-            hog.back()[off] = static_cast<char>(off);
-          }
-        }
-        return Status::ResourceExhausted(
-            "_OOM injector survived its 4 GB appetite (no memory limit?)");
-      }
-      case Kind::kHang: {
-        // Deliberately never polls the deadline: only the executor's hard
-        // wall-clock kill can stop this.
-        volatile uint64_t spin = 0;
-        for (;;) spin = spin + 1;
-      }
-    }
-    return Status::Internal("unreachable fault injector state");
-  }
-
- private:
-  Kind kind_;
-};
 
 }  // namespace
-
-std::unique_ptr<Aligner> MakeFaultAligner(const std::string& name) {
-  if (name == "_CRASH") {
-    return std::make_unique<FaultAligner>(FaultAligner::Kind::kCrash);
-  }
-  if (name == "_OOM") {
-    return std::make_unique<FaultAligner>(FaultAligner::Kind::kOom);
-  }
-  if (name == "_HANG") {
-    return std::make_unique<FaultAligner>(FaultAligner::Kind::kHang);
-  }
-  return nullptr;
-}
 
 BenchArgs ParseBenchArgs(int argc, char** argv) {
   // Bench binaries have no meaningful way to continue past a malformed
@@ -268,6 +184,29 @@ BenchArgs ParseBenchArgs(int argc, char** argv) {
   return args;
 }
 
+RunOutcome FailedOutcome(const Outcome& verdict) {
+  RunOutcome out;
+  out.code = verdict.code;
+  out.error =
+      std::string(CellName(verdict.code)) + " (" + verdict.message + ")";
+  return out;
+}
+
+RunOutcome FailedOutcome(const Status& status) {
+  const Outcome verdict = ClassifyStatus(status);
+  if (verdict.code == kExitDnf) return TimeLimitOutcome();
+  RunOutcome out = FailedOutcome(verdict);
+  out.transient = status.code() == StatusCode::kUnavailable;
+  return out;
+}
+
+RunOutcome TimeLimitOutcome() {
+  RunOutcome out;
+  out.code = kExitDnf;
+  out.error = "DNF (time limit)";
+  return out;
+}
+
 std::vector<std::string> SelectedAlgorithms(const BenchArgs& args) {
   if (args.algorithms.empty()) return AllAlignerNames();
   return args.algorithms;
@@ -281,17 +220,11 @@ RunOutcome RunPlan(Aligner* aligner, const AlignmentProblem& problem,
   // immediately expired.
   auto report = aligner->Run(problem.g1, problem.g2, plan,
                              Deadline::AfterSeconds(time_limit_seconds));
-  if (!report.ok()) {
-    out.error = report.status().code() == StatusCode::kDeadlineExceeded
-                    ? "DNF (time limit)"
-                    : report.status().ToString();
-    return out;
-  }
+  if (!report.ok()) return FailedOutcome(report.status());
   // The paper's budget is a similarity-stage budget (§6.2, Table 3): a
   // stage that overran it is DNF even if it finished.
   if (report->similarity_seconds > time_limit_seconds) {
-    out.error = "DNF (time limit)";
-    return out;
+    return TimeLimitOutcome();
   }
   out.similarity_seconds = report->similarity_seconds;
   out.assignment_seconds = report->assignment_seconds;
@@ -321,17 +254,11 @@ RunOutcome RunAveraged(Aligner* aligner, const Graph& base,
   for (int r = 0; r < reps; ++r) {
     Rng instance_rng = rng.Fork();
     auto problem = MakeAlignmentProblem(base, noise, &instance_rng);
-    if (!problem.ok()) {
-      total.error = problem.status().ToString();
-      return total;
-    }
+    if (!problem.ok()) return FailedOutcome(problem.status());
     RunOutcome one = RunAligner(aligner, *problem, method,
                                 time_limit_seconds - budget.Seconds());
     if (!one.completed) {
-      if (total.completed_runs == 0) {
-        total.error = one.error;
-        return total;
-      }
+      if (total.completed_runs == 0) return one;
       break;  // Keep the average over the completed repetitions.
     }
     total.quality.accuracy += one.quality.accuracy;
@@ -365,12 +292,11 @@ namespace {
 // A cell outcome worth a second attempt: containment-level faults (CRASH,
 // OOM, a failed fork) can be transient — a cosmic-ray segfault, memory
 // pressure from a neighboring process. DNF is not retryable: a repeat run
-// would spend the same budget and reach the same verdict, and ERR is a
-// deterministic typed failure.
+// would spend the same budget and reach the same verdict, and any other
+// ERR is a deterministic typed failure.
 bool IsRetryableOutcome(const RunOutcome& out) {
-  if (out.completed) return false;
-  return out.error.rfind("CRASH", 0) == 0 || out.error.rfind("OOM", 0) == 0 ||
-         out.error.rfind("Unavailable", 0) == 0;
+  return !out.completed &&
+         (out.code == kExitCrash || out.code == kExitOom || out.transient);
 }
 
 RunOutcome RunOneContained(const BenchArgs& args,
@@ -379,9 +305,7 @@ RunOutcome RunOneContained(const BenchArgs& args,
   // injected transient fault must fire here, not in the child, for
   // "fails once, retried, succeeds" to be expressible.
   if (GA_FAILPOINT_FIRED("bench.cell.flaky")) {
-    RunOutcome out;
-    out.error = "CRASH (injected flaky fault)";
-    return out;
+    return FailedOutcome(Outcome{kExitCrash, "injected flaky fault"});
   }
   if (!args.isolate) return body();
   return RunOutcomeInChild(OptionsFromArgs(args), body);
@@ -438,12 +362,7 @@ RunOutcome RunAveraged(Aligner* aligner, const Graph& base,
 }
 
 std::string FormatOutcome(const RunOutcome& outcome, double value) {
-  if (!outcome.completed) {
-    for (const char* tag : {"DNF", "CRASH", "OOM"}) {
-      if (outcome.error.rfind(tag, 0) == 0) return tag;
-    }
-    return "ERR";
-  }
+  if (!outcome.completed) return CellName(outcome.code);
   // The '*' marks values produced through a numerical fallback — comparable
   // in kind but not in faith to the clean cells (README: degraded results).
   if (outcome.degraded) return Table::Num(value) + "*";

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "align/aligner.h"
+#include "common/outcome.h"
 #include "common/status.h"
 #include "graph/graph.h"
 #include "metrics/metrics.h"
@@ -71,9 +72,14 @@ std::vector<std::string> SelectedAlgorithms(const BenchArgs& args);
 // Outcome of one or more alignment runs.
 struct RunOutcome {
   bool completed = false;
-  std::string error;          // Set when not completed; the leading token
-                              // ("DNF"/"CRASH"/"OOM", else ERR) is what the
-                              // tables render.
+  int code = kExitError;      // When not completed: the verdict
+                              // (common/outcome.h). DNF, CRASH and OOM
+                              // render as such, any other code as ERR.
+  bool transient = false;     // Not completed for a reason a retry may
+                              // clear: a kUnavailable status, e.g. a
+                              // refused fork.
+  std::string error;          // When not completed, why, led by the cell
+                              // it renders as: "CRASH (killed by ...)".
   QualityReport quality;      // Averaged over completed repetitions.
   double similarity_seconds = 0.0;  // Averaged.
   double assignment_seconds = 0.0;  // Averaged.
@@ -86,13 +92,23 @@ struct RunOutcome {
   std::string degrade_reason;
 };
 
+// A run that did not complete, ended as `verdict`; its error reads
+// "<cell> (<why>)".
+RunOutcome FailedOutcome(const Outcome& verdict);
+// A run whose work returned `status`: an expired Deadline is the budget's
+// TimeLimitOutcome, anything else its ClassifyStatus verdict, transient
+// when the status is kUnavailable.
+RunOutcome FailedOutcome(const Status& status);
+// A run that overran its time budget: DNF, however the stage noticed it.
+RunOutcome TimeLimitOutcome();
+
 // Runs `plan` once on `problem` through Aligner::Run and scores the
 // alignment against the ground truth, timing similarity and assignment
 // separately. The budget is one cooperative Deadline over every stage: the
-// run aborts with "DNF (time limit)" soon after it expires, rather than
-// only being flagged DNF after running to completion. A similarity stage
-// that finished past the budget is DNF as well. A sparse plan's LSH
-// candidate count goes to aux_count.
+// run aborts with TimeLimitOutcome soon after it expires, rather than only
+// being flagged DNF after running to completion. A similarity stage that
+// finished past the budget is DNF as well. A sparse plan's LSH candidate
+// count goes to aux_count.
 RunOutcome RunPlan(Aligner* aligner, const AlignmentProblem& problem,
                    const AlignPlan& plan, double time_limit_seconds);
 
@@ -118,8 +134,10 @@ RunOutcome RunAveraged(Aligner* aligner, const Graph& base,
 
 // Runs `body` under the args' isolation policy: inline when isolation is
 // off, otherwise in a forked child with the args' memory cap and a hard
-// wall-clock backstop derived from the time limit. Crash/OOM/kill outcomes
-// come back as RunOutcome errors ("CRASH (...)", "OOM (...)", "DNF (...)").
+// wall-clock backstop derived from the time limit (BackstopSeconds). How
+// the child ended is classified by common/outcome.h's ClassifyRun: a crash,
+// a memory blow-up or a kill comes back as a CRASH, OOM or DNF outcome.
+// CRASH, OOM and transient outcomes are retried up to args.retries times.
 RunOutcome RunContained(const BenchArgs& args,
                         const std::function<RunOutcome()>& body);
 
@@ -129,14 +147,6 @@ RunOutcome RunContained(const BenchArgs& args,
 // RunContained.
 RunOutcome MeasurePeakMemory(const BenchArgs& args,
                              const std::function<void()>& body);
-
-// Test-only fault injectors, reachable from every bench via --algos:
-//   _CRASH  raises SIGSEGV inside ComputeSimilarity
-//   _OOM    allocates unboundedly (capped at a few GB as a safety net)
-//   _HANG   spins without polling the cooperative deadline
-// They model exactly the non-cooperative failures the isolated executor
-// contains; run them only under --isolate. Returns nullptr for other names.
-std::unique_ptr<Aligner> MakeFaultAligner(const std::string& name);
 
 // Formats an outcome's accuracy (or "DNF"/"CRASH"/"OOM"/"ERR") for tables.
 // Degraded outcomes render as "value*" (see RunOutcome::degraded).

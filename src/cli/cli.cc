@@ -17,6 +17,7 @@
 #include "datasets/datasets.h"
 #include "common/failpoint.h"
 #include "common/flags.h"
+#include "common/outcome.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/retry.h"
@@ -80,6 +81,14 @@ Result<Alignment> ReadMapping(const std::string& path, int n1) {
 int Fail(std::ostream& err, const Status& status) {
   err << "error: " << status.ToString() << "\n";
   return kExitError;
+}
+
+// Reports a failed run on stderr, "error: why" or "<VERDICT>: why", and
+// returns its exit code.
+int Report(std::ostream& err, const Outcome& verdict) {
+  err << (verdict.code == kExitError ? "error" : ExitCodeName(verdict.code))
+      << ": " << verdict.message << "\n";
+  return verdict.code;
 }
 
 // --out FILE: writes the mapping when a path was given and says where.
@@ -227,16 +236,12 @@ int CmdAlignInner(const AlignArgs& args, std::ostream& out,
   // of erroring out; a degraded result is reported as such below.
   auto report = (*aligner)->Run(*g1, *g2, *plan, deadline);
   if (!report.ok()) {
-    if (report.status().code() == StatusCode::kDeadlineExceeded) {
-      err << "DNF: " << algo << " exceeded the time limit after "
-          << Table::Num(timer.Seconds(), 2) << "s\n";
-      return kExitDnf;
+    Outcome verdict = ClassifyStatus(report.status());
+    if (verdict.code == kExitDnf) {
+      verdict.message = algo + " exceeded the time limit after " +
+                        Table::Num(timer.Seconds(), 2) + "s";
     }
-    if (report.status().code() == StatusCode::kNumerical) {
-      err << "NUMERICAL: " << report.status().message() << "\n";
-      return kExitNumerical;
-    }
-    return Fail(err, report.status());
+    return Report(err, verdict);
   }
   const Alignment& alignment = report->alignment;
   const double secs = timer.Seconds();
@@ -295,9 +300,7 @@ int CmdAlign(FlagReader& flags, std::ostream& out, std::ostream& err) {
       static_cast<int64_t>(mem_limit_mb * 1024.0 * 1024.0);
   // The cooperative deadline inside the child remains the primary limit;
   // the hard kill is a backstop for non-cooperative hangs.
-  if (args.time_limit > 0.0) {
-    options.wall_limit_seconds = 2.0 * args.time_limit + 30.0;
-  }
+  options.wall_limit_seconds = BackstopSeconds(args.time_limit);
   auto result = RunIsolated(
       [&](int) {
         const int rc = CmdAlignInner(args, out, err);
@@ -307,23 +310,10 @@ int CmdAlign(FlagReader& flags, std::ostream& out, std::ostream& err) {
       },
       options);
   if (!result.ok()) return Fail(err, result.status());
-  switch (result->status) {
-    case RunStatus::kOk:
-      return kExitOk;
-    case RunStatus::kExit:
-      return result->exit_code;
-    case RunStatus::kCrash:
-      err << "CRASH: " << result->detail << "\n";
-      return kExitCrash;
-    case RunStatus::kOom:
-      err << "OOM: " << result->detail << "\n";
-      return kExitOom;
-    case RunStatus::kTimeout:
-      err << "DNF: hard-killed at the wall-clock backstop after "
-          << Table::Num(result->wall_seconds, 2) << "s\n";
-      return kExitDnf;
-  }
-  return kExitError;
+  const Outcome verdict = ClassifyRun(*result);
+  // A child that exited has already reported why; a killed one could not.
+  if (result->status == RunStatus::kExit) return verdict.code;
+  return verdict.ok() ? kExitOk : Report(err, verdict);
 }
 
 int CmdEvaluate(FlagReader& flags, std::ostream& out, std::ostream& err) {

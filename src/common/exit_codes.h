@@ -1,12 +1,12 @@
 // Process exit codes shared by the CLI, the bench harness, and the server.
 //
-// The outcome taxonomy (OK / usage error / DNF / CRASH / OOM, DESIGN.md §10)
-// crosses three process boundaries — `graphalign align` exits with these,
-// the bench binaries exit with kExitUsage on malformed flags, and the
-// serving daemon maps them onto its wire-level ResponseCode — so the values
-// live here instead of being repeated as magic numbers at each site. The
-// DNF/CRASH/OOM values are also the numeric values of the corresponding
-// server response codes (server/protocol.h); keep them in sync.
+// The outcome taxonomy (OK / usage error / DNF / CRASH / OOM / NUMERICAL,
+// DESIGN.md §10) crosses three process boundaries — `graphalign align`
+// exits with these, the bench binaries exit with kExitUsage on malformed
+// flags, and the serving daemon answers with them as its wire-level
+// ResponseCode (server/protocol.h), whose values are these — so the values
+// live here instead of being repeated as magic numbers at each site. Which
+// code a run ends as, and each code's name, is common/outcome.h.
 #ifndef GRAPHALIGN_COMMON_EXIT_CODES_H_
 #define GRAPHALIGN_COMMON_EXIT_CODES_H_
 

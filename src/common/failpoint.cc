@@ -26,7 +26,6 @@ const char* const kKnownSites[] = {
     "linalg.lanczos.error",        // LanczosEigen entry (kNumerical).
     "linalg.svd.no-converge",      // Jacobi sweeps exhausted (kNumerical).
     "linalg.sinkhorn.underflow",   // Force the log-domain fallback path.
-    "linalg.sinkhorn.strict",      // Re-enable the strict kernel rejection.
     "align.similarity.error",      // Aligner::ComputeSimilarity (transient).
     "align.similarity.nan",        // Poison the similarity matrix with NaN.
     "align.sparse.candidates.error",  // ComputeSparseSimilarity (transient).

@@ -1,12 +1,8 @@
 #include "common/memory.h"
 
-#include <unistd.h>
-
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <string>
-
-#include "common/subprocess.h"
 
 namespace graphalign {
 
@@ -29,9 +25,6 @@ int64_t ReadProcStatusKb(const char* key) {
   return kb;
 }
 
-// Child exit code distinguishing "VmHWM unreadable" from workload errors.
-constexpr int kNoProcExitCode = 119;
-
 }  // namespace
 
 int64_t PeakRssBytes() { return ReadProcStatusKb("VmHWM") * 1024; }
@@ -39,40 +32,5 @@ int64_t PeakRssBytes() { return ReadProcStatusKb("VmHWM") * 1024; }
 int64_t CurrentRssBytes() { return ReadProcStatusKb("VmRSS") * 1024; }
 
 int64_t CurrentVmBytes() { return ReadProcStatusKb("VmSize") * 1024; }
-
-Result<double> MeasurePeakMemoryMb(const std::function<void()>& workload) {
-  auto run = RunIsolated([&](int payload_fd) {
-    workload();
-    const int64_t peak = PeakRssBytes();
-    if (peak <= 0) return kNoProcExitCode;
-    const std::string bytes(reinterpret_cast<const char*>(&peak),
-                            sizeof(peak));
-    return WritePayload(payload_fd, bytes) ? 0 : 1;
-  });
-  if (!run.ok()) return run.status();
-  switch (run->status) {
-    case RunStatus::kOk:
-      break;
-    case RunStatus::kExit:
-      if (run->exit_code == kNoProcExitCode) {
-        return Status::Internal(
-            "peak RSS not measurable: /proc unavailable in the child");
-      }
-      return Status::Internal("measurement child failed: " + run->detail);
-    case RunStatus::kCrash:
-      return Status::Internal("workload crashed: " + run->detail);
-    case RunStatus::kOom:
-      return Status::ResourceExhausted("workload ran out of memory: " +
-                                       run->detail);
-    case RunStatus::kTimeout:
-      return Status::DeadlineExceeded("measurement child timed out");
-  }
-  if (!run->payload_valid || run->payload.size() != sizeof(int64_t)) {
-    return Status::Internal("measurement child reported no peak RSS");
-  }
-  int64_t peak = 0;
-  std::memcpy(&peak, run->payload.data(), sizeof(peak));
-  return static_cast<double>(peak) / (1024.0 * 1024.0);
-}
 
 }  // namespace graphalign

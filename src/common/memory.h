@@ -1,18 +1,14 @@
-// Memory measurement for the scalability experiments (Figs 13-14).
+// Resident and virtual memory of the calling process, from /proc/self/status.
 //
-// The paper reports peak resident memory per algorithm run. VmHWM in
-// /proc/self/status is monotone over a process lifetime, so measuring several
-// runs in one process would only record the largest. MeasurePeakMemoryMb
-// therefore runs each workload in a forked child (via RunIsolated in
-// common/subprocess.h): the child runs the workload, reads its own VmHWM,
-// and reports it over a pipe.
+// The paper reports peak resident memory per algorithm run (Figs 13-14).
+// VmHWM is monotone over a process lifetime, so measuring several runs in
+// one process would only record the largest: the bench harness's
+// MeasurePeakMemory (bench_framework/experiment.h) runs each workload in a
+// forked child that reads its own PeakRssBytes and reports it over a pipe.
 #ifndef GRAPHALIGN_COMMON_MEMORY_H_
 #define GRAPHALIGN_COMMON_MEMORY_H_
 
 #include <cstdint>
-#include <functional>
-
-#include "common/status.h"
 
 namespace graphalign {
 
@@ -27,15 +23,6 @@ int64_t CurrentRssBytes();
 // bytes. Returns 0 if /proc is unavailable. This is the baseline on top of
 // which subprocess memory limits budget their headroom.
 int64_t CurrentVmBytes();
-
-// Runs `workload` in a forked child and returns the child's peak RSS in MiB.
-//
-// Errors are a Status, never a silent 0: FailedPrecondition when foreign
-// threads make forking unsafe (the graphalign pool is accounted for — its
-// workers are fork-tolerant), Internal when /proc is unavailable in the
-// child or the workload crashed. The workload itself must not depend on
-// threads started before the fork; ParallelFor inside it runs inline.
-Result<double> MeasurePeakMemoryMb(const std::function<void()>& workload);
 
 }  // namespace graphalign
 

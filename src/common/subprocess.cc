@@ -85,17 +85,6 @@ const char* SignalName(int sig) {
 
 }  // namespace
 
-const char* RunStatusName(RunStatus status) {
-  switch (status) {
-    case RunStatus::kOk: return "OK";
-    case RunStatus::kExit: return "EXIT";
-    case RunStatus::kCrash: return "CRASH";
-    case RunStatus::kOom: return "OOM";
-    case RunStatus::kTimeout: return "TIMEOUT";
-  }
-  return "UNKNOWN";
-}
-
 Result<int> CountProcThreads() {
   FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) {

@@ -7,7 +7,8 @@
 // memory and wall-clock caps, run the workload there, and classify how the
 // child ended (clean exit / crash signal / out-of-memory / timeout kill).
 // Whatever the child marshals back through the payload pipe survives every
-// failure mode except never having been written.
+// failure mode except never having been written. Which verdict each ending
+// is (OK / ERROR / DNF / CRASH / OOM) is common/outcome.h's ClassifyRun.
 //
 // Fork safety: worker threads do not survive fork(), so the child must not
 // depend on any thread started before it. The graphalign thread pool is
@@ -16,7 +17,7 @@
 // FailedPrecondition — when /proc shows threads beyond the main thread and
 // the known pool workers, rather than risking a deadlock on a lock held by a
 // thread that no longer exists. That suits its in-process callers (CLI
-// `align --isolate`, bench `--isolate`, MeasurePeakMemoryMb). The daemon,
+// `align --isolate`, bench `--isolate` and its MeasurePeakMemory probe). The daemon,
 // which runs many threads, never calls it from its own image: its isolated
 // alignments run in single-threaded helpers forked from a zygote at startup
 // (server/isolation.h), so there is no registry of "fork-tolerant" threads.
@@ -44,9 +45,6 @@ enum class RunStatus {
              // OOM-killer took the child down.
   kTimeout,  // Still running at the wall-clock cap; killed by the parent.
 };
-
-// Short upper-case name used in tables and logs: OK/EXIT/CRASH/OOM/TIMEOUT.
-const char* RunStatusName(RunStatus status);
 
 struct SubprocessOptions {
   // Hard wall-clock cap in seconds; the parent SIGKILLs the child once it

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 namespace graphalign {
 
-KdTree::KdTree(const DenseMatrix& points) : points_(points) {
+KdTree::KdTree(DenseMatrix points) : points_(std::move(points)) {
   const int n = points_.rows();
   if (n == 0) return;
   std::vector<int> indices(n);
@@ -88,6 +89,17 @@ std::vector<KdTree::Neighbor> KdTree::KNearest(const double* query,
   });
   for (Neighbor& nb : heap) nb.distance = std::sqrt(nb.distance);
   return heap;
+}
+
+std::vector<int> NearestTargets(const DenseMatrix& y, int n1, int n2) {
+  DenseMatrix targets(n2, y.cols());
+  for (int v = 0; v < n2; ++v) {
+    for (int j = 0; j < y.cols(); ++j) targets(v, j) = y(n1 + v, j);
+  }
+  const KdTree tree(std::move(targets));
+  std::vector<int> nearest(n1);
+  for (int u = 0; u < n1; ++u) nearest[u] = tree.Nearest(y.Row(u)).index;
+  return nearest;
 }
 
 }  // namespace graphalign

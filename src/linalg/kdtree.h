@@ -14,8 +14,8 @@ namespace graphalign {
 
 class KdTree {
  public:
-  // Builds over the rows of `points` (n x d). The matrix is copied.
-  explicit KdTree(const DenseMatrix& points);
+  // Builds over the rows of `points` (n x d), which the tree keeps.
+  explicit KdTree(DenseMatrix points);
 
   int size() const { return points_.rows(); }
   int dim() const { return points_.cols(); }
@@ -47,6 +47,11 @@ class KdTree {
   std::vector<Node> nodes_;
   int root_ = -1;
 };
+
+// Nearest-embedding extraction (REGAL and CONE's native path): `y` stacks
+// n1 source rows over n2 target rows; returns, for each source row, the
+// index of its nearest target row.
+std::vector<int> NearestTargets(const DenseMatrix& y, int n1, int n2);
 
 }  // namespace graphalign
 

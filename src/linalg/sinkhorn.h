@@ -41,8 +41,7 @@ Result<DenseMatrix> SinkhornTransport(const DenseMatrix& cost,
 // to exp(-745) and below without ever forming the underflowed products.
 // `used_log_fallback`, when non-null, reports whether that path ran.
 // Negative kernel entries are still InvalidArgument — they are a caller bug,
-// not an underflow. Arming the `linalg.sinkhorn.strict` failpoint restores
-// the historical hard rejection of non-finite kernels (for tests).
+// not an underflow.
 Result<DenseMatrix> SinkhornProject(const DenseMatrix& kernel,
                                     const std::vector<double>& mu,
                                     const std::vector<double>& nu,

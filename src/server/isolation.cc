@@ -14,9 +14,9 @@
 #include <vector>
 
 #include "align/aligner.h"
-#include "bench_framework/experiment.h"
 #include "common/deadline.h"
 #include "common/failpoint.h"
+#include "common/outcome.h"
 #include "common/parallel.h"
 #include "common/socket.h"
 #include "common/timer.h"
@@ -217,13 +217,9 @@ int AlignChild(const AlignRequest& spec, const Graph& g1, const Graph& g2,
                 : Result<AlignReport>(plan.status());
   std::string outcome;
   if (!report.ok()) {
-    ResponseCode code = ResponseCode::kError;
-    if (report.status().code() == StatusCode::kDeadlineExceeded) {
-      code = ResponseCode::kDnf;
-    } else if (report.status().code() == StatusCode::kNumerical) {
-      code = ResponseCode::kNumerical;
-    }
-    outcome = EncodeChildError(code, report.status().ToString());
+    const Outcome verdict = ClassifyStatus(report.status());
+    outcome = EncodeChildError(static_cast<ResponseCode>(verdict.code),
+                               verdict.message);
   } else {
     const Alignment& alignment = report->alignment;
     AlignResult result;

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/outcome.h"
 #include "common/socket.h"
 
 namespace graphalign {
@@ -387,25 +388,7 @@ Result<Request> DecodeRequest(std::string_view payload) {
 // Responses.
 
 const char* ResponseCodeName(ResponseCode code) {
-  switch (code) {
-    case ResponseCode::kOk: return "OK";
-    case ResponseCode::kError: return "ERROR";
-    case ResponseCode::kBadRequest: return "BAD_REQUEST";
-    case ResponseCode::kDnf: return "DNF";
-    case ResponseCode::kCrash: return "CRASH";
-    case ResponseCode::kOom: return "OOM";
-    case ResponseCode::kBusy: return "BUSY";
-    case ResponseCode::kNumerical: return "NUMERICAL";
-    case ResponseCode::kShuttingDown: return "SHUTTING_DOWN";
-    case ResponseCode::kShed: return "SHED";
-    case ResponseCode::kQuarantined: return "QUARANTINED";
-    case ResponseCode::kNoGraph: return "NO_GRAPH";
-    case ResponseCode::kPartial: return "PARTIAL";
-    case ResponseCode::kAccepted: return "ACCEPTED";
-    case ResponseCode::kNoJob: return "NO_JOB";
-    case ResponseCode::kConflict: return "CONFLICT";
-  }
-  return "UNKNOWN";
+  return ExitCodeName(static_cast<int>(code));
 }
 
 std::string EncodeResponse(const Response& response) {

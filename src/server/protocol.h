@@ -277,6 +277,7 @@ enum class ResponseCode : uint8_t {
                               // an idempotency key for different content.
 };
 
+// The code's name, e.g. "DNF" (ExitCodeName in common/outcome.h).
 const char* ResponseCodeName(ResponseCode code);
 
 struct Response {

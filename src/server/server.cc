@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/outcome.h"
 #include "common/socket.h"
 #include "common/timer.h"
 #include "jobs/manager.h"
@@ -1116,8 +1117,8 @@ class Server::Impl {
     }
     isolation.wall_limit_seconds =
         req.deadline_ms > 0
-            ? 2.0 * static_cast<double>(req.deadline_ms) / 1000.0 +
-                  options_.wall_slack_seconds
+            ? BackstopSeconds(static_cast<double>(req.deadline_ms) / 1000.0,
+                              options_.wall_slack_seconds)
             : kDefaultWallLimitSeconds;
     // Arm the watchdog slot before dispatching: fields first, then the
     // release store the watchdog acquires them through.
@@ -1146,38 +1147,30 @@ class Server::Impl {
     if (!run.ok()) {
       return ErrorResponse(ResponseCode::kError, run.status().ToString());
     }
+    // A kill through the cancel hook is the watchdog's (or a cancelled
+    // job's) policy, not the backstop's DNF.
+    if (run->killed_on_cancel) {
+      return ErrorResponse(
+          ResponseCode::kError,
+          "watchdog killed the isolated child: still running " +
+              std::to_string(options_.watchdog_grace_seconds) +
+              "s past its " + std::to_string(req.deadline_ms) +
+              "ms deadline");
+    }
+    const Outcome verdict = ClassifyRun(*run);
+    if (!verdict.ok()) {
+      if (verdict.code == kExitCrash || verdict.code == kExitOom) {
+        RecordFault(fault_key);
+      }
+      return ErrorResponse(static_cast<ResponseCode>(verdict.code),
+                           verdict.message);
+    }
+    ClearFault(fault_key);  // The kernel survived; not poison.
     Response response;
-    switch (run->status) {
-      case RunStatus::kOk:
-        ClearFault(fault_key);  // The kernel survived; not poison.
-        if (!run->payload_valid || !DecodeAlignOutcome(run->payload,
-                                                       &response)) {
-          return ErrorResponse(
-              ResponseCode::kError,
-              "isolated child exited cleanly but returned no result");
-        }
-        break;
-      case RunStatus::kExit:
-        return ErrorResponse(ResponseCode::kError,
-                             "isolated child " + run->detail);
-      case RunStatus::kCrash:
-        RecordFault(fault_key);
-        return ErrorResponse(ResponseCode::kCrash, run->detail);
-      case RunStatus::kOom:
-        RecordFault(fault_key);
-        return ErrorResponse(ResponseCode::kOom, run->detail);
-      case RunStatus::kTimeout:
-        if (run->killed_on_cancel) {
-          return ErrorResponse(
-              ResponseCode::kError,
-              "watchdog killed the isolated child: still running " +
-                  std::to_string(options_.watchdog_grace_seconds) +
-                  "s past its " + std::to_string(req.deadline_ms) +
-                  "ms deadline");
-        }
-        return ErrorResponse(ResponseCode::kDnf,
-                             "hard-killed at the wall-clock backstop after " +
-                                 std::to_string(run->wall_seconds) + "s");
+    if (!run->payload_valid || !DecodeAlignOutcome(run->payload, &response)) {
+      return ErrorResponse(
+          ResponseCode::kError,
+          "isolated child exited cleanly but returned no result");
     }
     if (response.code == ResponseCode::kOk && !req.no_cache) {
       // Degraded results are not cached: once the numerical hiccup passes, a

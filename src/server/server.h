@@ -42,6 +42,7 @@
 #include <memory>
 #include <string>
 
+#include "common/outcome.h"
 #include "common/status.h"
 #include "server/cache.h"
 #include "server/protocol.h"
@@ -70,10 +71,10 @@ struct ServerOptions {
   double io_timeout_seconds = 30.0;
 
   // Wall-clock backstop for isolated align children: 2 * deadline +
-  // `wall_slack_seconds` when the request carries a deadline, else a fixed
-  // 300 s. The backstop SIGKILLs non-cooperative hangs; cooperative
-  // overruns are caught by the Deadline well before it.
-  double wall_slack_seconds = 30.0;
+  // `wall_slack_seconds` (BackstopSeconds) when the request carries a
+  // deadline, else a fixed 300 s. The backstop SIGKILLs non-cooperative
+  // hangs; cooperative overruns are caught by the Deadline well before it.
+  double wall_slack_seconds = kBackstopSlackSeconds;
 
   // Durable cache log directory (server/cache_store.h). Replayed at
   // startup (warm restart) and compacted there when more than half of it

@@ -498,6 +498,8 @@ TEST(LoadgenFlagsTest, MalformedValuesExitWithUsage) {
   const std::vector<std::pair<std::string, std::string>> cases = {
       {sock + " --clients 2x --requests 1",
        "invalid value '2x' for --clients"},
+      {sock + " --clients 1025 --requests 1",
+       "invalid value '1025' for --clients"},
       {sock + " --mix miss:3x --clients 1 --requests 1",
        "bad --mix 'miss:3x'"},
       {sock + " --nodes 7", "invalid value '7' for --nodes"},

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "align/aligner.h"
 #include "align/isorank.h"
 #include "bench_framework/experiment.h"
 #include "bench_framework/journal.h"

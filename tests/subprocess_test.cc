@@ -19,19 +19,100 @@
 #include <vector>
 
 #include "align/aligner.h"
-#include "bench_framework/experiment.h"
+#include "common/outcome.h"
 #include "graph/graph.h"
 #include "gtest/gtest.h"
 
 namespace graphalign {
 namespace {
 
-TEST(RunStatusNameTest, CoversAllStatuses) {
-  EXPECT_STREQ(RunStatusName(RunStatus::kOk), "OK");
-  EXPECT_STREQ(RunStatusName(RunStatus::kExit), "EXIT");
-  EXPECT_STREQ(RunStatusName(RunStatus::kCrash), "CRASH");
-  EXPECT_STREQ(RunStatusName(RunStatus::kOom), "OOM");
-  EXPECT_STREQ(RunStatusName(RunStatus::kTimeout), "TIMEOUT");
+// ---------------------------------------------------------------------------
+// The run-outcome classifier (common/outcome.h): every way a Status or an
+// isolated child can end, the verdict it gets, and that verdict's name.
+
+SubprocessResult Ended(RunStatus status, int exit_code = 0,
+                       bool killed_on_cancel = false) {
+  SubprocessResult run;
+  run.status = status;
+  run.exit_code = exit_code;
+  run.killed_on_cancel = killed_on_cancel;
+  run.wall_seconds = 1.5;
+  run.detail = "detail";
+  return run;
+}
+
+TEST(OutcomeTest, ClassifiesEveryEnding) {
+  struct Case {
+    const char* what;
+    Outcome outcome;
+    int code;
+    const char* name;
+  };
+  const Case cases[] = {
+      {"exit 0", ClassifyRun(Ended(RunStatus::kOk)), kExitOk, "OK"},
+      {"exit 3 (the child's own DNF)", ClassifyRun(Ended(RunStatus::kExit, 3)),
+       kExitDnf, "DNF"},
+      {"exit 7 (the child's own NUMERICAL)",
+       ClassifyRun(Ended(RunStatus::kExit, 7)), kExitNumerical, "NUMERICAL"},
+      {"exit 1", ClassifyRun(Ended(RunStatus::kExit, 1)), kExitError, "ERROR"},
+      {"exit 42", ClassifyRun(Ended(RunStatus::kExit, 42)), kExitError,
+       "ERROR"},
+      {"exit 6 (not a run verdict)", ClassifyRun(Ended(RunStatus::kExit, 6)),
+       kExitError, "ERROR"},
+      {"crash signal", ClassifyRun(Ended(RunStatus::kCrash)), kExitCrash,
+       "CRASH"},
+      {"memory cap", ClassifyRun(Ended(RunStatus::kOom)), kExitOom, "OOM"},
+      {"wall-clock backstop", ClassifyRun(Ended(RunStatus::kTimeout)),
+       kExitDnf, "DNF"},
+      {"cancel hook", ClassifyRun(Ended(RunStatus::kTimeout, 0, true)),
+       kExitDnf, "DNF"},
+      {"Ok status", ClassifyStatus(Status::Ok()), kExitOk, "OK"},
+      {"kDeadlineExceeded", ClassifyStatus(Status::DeadlineExceeded("late")),
+       kExitDnf, "DNF"},
+      {"kNumerical", ClassifyStatus(Status::Numerical("no-converge")),
+       kExitNumerical, "NUMERICAL"},
+      {"kUnavailable", ClassifyStatus(Status::Unavailable("fork refused")),
+       kExitError, "ERROR"},
+      {"kInvalidArgument", ClassifyStatus(Status::InvalidArgument("bad")),
+       kExitError, "ERROR"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(c.outcome.code, c.code) << c.what;
+    EXPECT_STREQ(ExitCodeName(c.outcome.code), c.name) << c.what;
+    EXPECT_EQ(c.outcome.ok(), c.code == kExitOk) << c.what;
+    EXPECT_EQ(c.outcome.message.empty(), c.code == kExitOk) << c.what;
+  }
+}
+
+TEST(OutcomeTest, MessagesSayWhy) {
+  EXPECT_EQ(ClassifyRun(Ended(RunStatus::kCrash)).message, "detail");
+  EXPECT_EQ(ClassifyRun(Ended(RunStatus::kExit, 1)).message,
+            "isolated child detail");
+  // Both kills are DNF; only the message (and run.killed_on_cancel) says
+  // which one it was.
+  EXPECT_EQ(ClassifyRun(Ended(RunStatus::kTimeout)).message,
+            "hard-killed at the wall-clock backstop after 1.50s");
+  EXPECT_EQ(ClassifyRun(Ended(RunStatus::kTimeout, 0, true)).message,
+            "killed by the caller's cancellation hook after 1.50s");
+  // DNF and NUMERICAL name the kind already; ERROR keeps the status code.
+  EXPECT_EQ(ClassifyStatus(Status::DeadlineExceeded("late")).message, "late");
+  EXPECT_EQ(ClassifyStatus(Status::Unavailable("fork refused")).message,
+            "Unavailable: fork refused");
+}
+
+TEST(OutcomeTest, BackstopIsTwiceTheBudgetPlusSlack) {
+  EXPECT_DOUBLE_EQ(BackstopSeconds(10.0), 2.0 * 10.0 + kBackstopSlackSeconds);
+  EXPECT_DOUBLE_EQ(BackstopSeconds(0.5, 5.0), 6.0);
+  EXPECT_EQ(BackstopSeconds(0.0), 0.0);   // No budget: unlimited.
+  EXPECT_EQ(BackstopSeconds(-1.0), 0.0);
+}
+
+TEST(OutcomeTest, NameTableCoversEveryExitCode) {
+  EXPECT_STREQ(ExitCodeName(kExitUsage), "BAD_REQUEST");
+  EXPECT_STREQ(ExitCodeName(kExitShuttingDown), "SHUTTING_DOWN");
+  EXPECT_STREQ(ExitCodeName(kExitConflict), "CONFLICT");
+  EXPECT_STREQ(ExitCodeName(kExitConflict + 1), "UNKNOWN");
+  EXPECT_STREQ(ExitCodeName(-1), "UNKNOWN");
 }
 
 TEST(RunIsolatedTest, CleanExitRoundtripsPayload) {

@@ -54,6 +54,7 @@
 
 #include "common/file_io.h"
 #include "common/flags.h"
+#include "common/parallel.h"
 #include "common/random.h"
 #include "common/socket.h"
 #include "common/table.h"
@@ -557,7 +558,8 @@ int Main(int argc, char** argv) {
   options.socket_path = flags.String("socket");
   options.port = flags.Int("port", options.port, 1, kMaxPort);
   options.http_port = flags.Int("http-port", options.http_port, 1, kMaxPort);
-  options.clients = flags.Int("clients", options.clients, 1, kMaxInt);
+  // One thread per client, capped like every other thread count.
+  options.clients = flags.Int("clients", options.clients, 1, kMaxThreads);
   options.requests = flags.Int("requests", options.requests, 1, kMaxInt);
   const bool has_mix = flags.Has("mix");
   const std::string mix = flags.String("mix");
