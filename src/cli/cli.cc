@@ -1065,7 +1065,8 @@ int CmdStoreBench(GraphStore& store, FlagReader& flags, std::ostream& out,
         << " mmap_ms=" << Table::Num(mmap_s * 1000.0, 3)
         << " speedup=" << Table::Num(speedup, 1) << "x\n";
     if (i > 0) rows << ",\n";
-    rows << "    {\"graph\": \"" << paths[i] << "\", \"n\": " << g->num_nodes()
+    rows << "    {\"graph\": \"" << JsonEscape(paths[i])
+         << "\", \"n\": " << g->num_nodes()
          << ", \"m\": " << g->num_edges()
          << ", \"parse_ms\": " << Table::Num(parse_s * 1000.0, 3)
          << ", \"mmap_ms\": " << Table::Num(mmap_s * 1000.0, 3)

@@ -720,11 +720,18 @@ class Gateway::Impl {
     daemon.Set("jobs_recovered", num(d.jobs_recovered));
     daemon.Set("jobs_pending", num(d.jobs_pending));
     daemon.Set("cache_replayed", num(d.cache_replayed));
+    daemon.Set("cache_crc_skipped", num(d.cache_crc_skipped));
+    daemon.Set("cache_truncated_bytes", num(d.cache_truncated_bytes));
+    daemon.Set("cache_append_errors", num(d.cache_append_errors));
+    daemon.Set("cache_open_errors", num(d.cache_open_errors));
     daemon.Set("store_puts", num(d.store_puts));
     daemon.Set("store_gets", num(d.store_gets));
     daemon.Set("store_corrupt", num(d.store_corrupt));
     daemon.Set("store_missing", num(d.store_missing));
     daemon.Set("store_unavailable", num(d.store_unavailable));
+    JsonValue restarts = JsonValue::Array();
+    for (uint64_t r : d.worker_restarts) restarts.Push(num(r));
+    daemon.Set("worker_restarts", std::move(restarts));
     out.Set("daemon", std::move(daemon));
     out.Set("status", JsonValue::Str("OK"));
     return Send(fd, 200, out.Dump(), keep_alive);

@@ -419,28 +419,10 @@ Result<Response> DecodeResponse(std::string_view payload) {
     return BadPayload("unsupported protocol version " +
                       std::to_string(version));
   }
-  switch (static_cast<ResponseCode>(code)) {
-    case ResponseCode::kOk:
-    case ResponseCode::kError:
-    case ResponseCode::kBadRequest:
-    case ResponseCode::kDnf:
-    case ResponseCode::kCrash:
-    case ResponseCode::kOom:
-    case ResponseCode::kBusy:
-    case ResponseCode::kNumerical:
-    case ResponseCode::kShuttingDown:
-    case ResponseCode::kShed:
-    case ResponseCode::kQuarantined:
-    case ResponseCode::kNoGraph:
-    case ResponseCode::kPartial:
-    case ResponseCode::kAccepted:
-    case ResponseCode::kNoJob:
-    case ResponseCode::kConflict:
-      response.code = static_cast<ResponseCode>(code);
-      break;
-    default:
-      return BadPayload("unknown response code " + std::to_string(code));
+  if (!IsResponseCode(code)) {
+    return BadPayload("unknown response code " + std::to_string(code));
   }
+  response.code = static_cast<ResponseCode>(code);
   response.cache_hit = cache_hit != 0;
   return response;
 }
@@ -497,9 +479,7 @@ Result<AlignBatchResult> DecodeAlignBatchResult(std::string_view body) {
     uint8_t code = 0, cache_hit = 0;
     if (!r.U8(&code) || !r.U8(&cache_hit) ||
         !r.Str(&job.message, kMaxMessageLen) ||
-        !r.Str(&job.body, kMaxFramePayload) ||
-        strcmp(ResponseCodeName(static_cast<ResponseCode>(code)),
-               "UNKNOWN") == 0) {
+        !r.Str(&job.body, kMaxFramePayload) || !IsResponseCode(code)) {
       return BadPayload("malformed align batch job outcome");
     }
     job.code = static_cast<ResponseCode>(code);

@@ -280,6 +280,14 @@ enum class ResponseCode : uint8_t {
 // The code's name, e.g. "DNF" (ExitCodeName in common/outcome.h).
 const char* ResponseCodeName(ResponseCode code);
 
+// Whether a byte read back from the wire or the job journal names a
+// ResponseCode. The codes are dense from kOk to kConflict (common/outcome.cc
+// asserts its name table covers exactly that range), so a range check is
+// the whole test.
+inline constexpr bool IsResponseCode(uint32_t code) {
+  return code <= static_cast<uint32_t>(ResponseCode::kConflict);
+}
+
 struct Response {
   ResponseCode code = ResponseCode::kOk;
   bool cache_hit = false;

@@ -13,6 +13,7 @@
 #include <exception>
 #include <iterator>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -49,6 +50,29 @@ struct AlignSpec {
   bool no_cache = false;
 };
 
+// One graph an align job names, before and after resolution: a store hash,
+// or a wire graph to parse. kAlign holds two; a batch holds one per table
+// entry, so K jobs over the same graphs parse or open each one once. A
+// failure sticks to the entry.
+struct GraphRef {
+  GraphRef(bool by_hash, uint64_t hash, const WireGraph* wire,
+           std::string label)
+      : by_hash(by_hash), hash(hash), wire(wire), label(std::move(label)) {}
+
+  bool by_hash;
+  uint64_t hash;           // By-hash: the store key.
+  const WireGraph* wire;   // Inline: the edges to parse.
+  std::string label;       // Names the graph in error messages.
+  std::optional<Graph> graph;       // Set once parsed or opened.
+  std::optional<Response> error;    // Set once resolution failed.
+
+  // Keys quarantine and the result cache. The store is content-addressed,
+  // so a by-hash reference's hash is its graph's content hash: no open.
+  uint64_t ContentHash() const {
+    return by_hash ? hash : graph->ContentHash();
+  }
+};
+
 // Backoff hints attached to transient rejections (Retry-After over HTTP).
 // BUSY/SHED clear quickly once the queue moves; a drain means "find another
 // instance", which deserves a longer pause.
@@ -64,26 +88,8 @@ constexpr double kDefaultWallLimitSeconds = 300.0;
 // not a known response code to a plain ERROR instead of leaking raw bytes
 // onto the wire.
 ResponseCode TerminalResponseCode(uint32_t code) {
-  switch (static_cast<ResponseCode>(code)) {
-    case ResponseCode::kOk:
-    case ResponseCode::kError:
-    case ResponseCode::kBusy:
-    case ResponseCode::kBadRequest:
-    case ResponseCode::kDnf:
-    case ResponseCode::kCrash:
-    case ResponseCode::kOom:
-    case ResponseCode::kNumerical:
-    case ResponseCode::kShed:
-    case ResponseCode::kQuarantined:
-    case ResponseCode::kShuttingDown:
-    case ResponseCode::kNoGraph:
-    case ResponseCode::kPartial:
-    case ResponseCode::kAccepted:
-    case ResponseCode::kNoJob:
-    case ResponseCode::kConflict:
-      return static_cast<ResponseCode>(code);
-  }
-  return ResponseCode::kError;
+  return IsResponseCode(code) ? static_cast<ResponseCode>(code)
+                              : ResponseCode::kError;
 }
 
 }  // namespace
@@ -779,11 +785,9 @@ class Server::Impl {
                            "graph store disabled on this daemon (start with "
                            "--store-dir); submit inline graphs instead");
     }
-    auto g = Graph::FromEdges(req.g.num_nodes, req.g.edges);
-    if (!g.ok()) {
-      return ErrorResponse(ResponseCode::kBadRequest,
-                           "graph: " + g.status().ToString());
-    }
+    Response error;
+    const std::optional<Graph> g = ParseWire(req.g, "graph", &error);
+    if (!g.has_value()) return error;
     bool already = false;
     auto hash = graph_store_->Put(*g, &already);
     if (!hash.ok()) {
@@ -839,10 +843,7 @@ class Server::Impl {
       return ErrorResponse(ResponseCode::kBadRequest, names.ToString());
     }
     if (req.align.by_hash && graph_store_ == nullptr) {
-      return ErrorResponse(
-          ResponseCode::kNoGraph,
-          "submit-by-hash jobs need a graph store, and this daemon has none "
-          "(start it with --store-dir); submit inline graphs instead");
+      return NoStoreResponse("g1");
     }
     auto out = jobs_->Submit(req.idem_key, EncodeAlignSpec(req.align),
                              UnixMs());
@@ -982,22 +983,73 @@ class Server::Impl {
     }
   }
 
-  // Maps a failed store lookup for a by-hash align to a wire response.
+  // The one refusal for a by-hash reference on a daemon without a store.
+  static Response NoStoreResponse(const std::string& label) {
+    return ErrorResponse(
+        ResponseCode::kNoGraph,
+        label + ": a by-hash graph needs a graph store, and this daemon has "
+                "none (start it with --store-dir); submit inline graphs "
+                "instead");
+  }
+
+  // Maps a failed store lookup for a by-hash graph to a wire response.
   // Absent and corrupt(-now-quarantined) entries both mean the store does
   // not hold a usable copy: typed NO_GRAPH, the client re-uploads. Only
   // transient store trouble (kUnavailable) is a server-side error.
-  static Response NoGraphResponse(const char* which, uint64_t hash,
+  static Response NoGraphResponse(const std::string& label, uint64_t hash,
                                   const Status& st) {
     if (st.code() == StatusCode::kNotFound ||
         st.code() == StatusCode::kCorrupt) {
       return ErrorResponse(
           ResponseCode::kNoGraph,
-          std::string(which) + ": graph " + GraphStore::HashName(hash) +
+          label + ": graph " + GraphStore::HashName(hash) +
               " is not in the store (" + st.ToString() +
               "); re-upload it with --put-graph and retry");
     }
-    return ErrorResponse(ResponseCode::kError,
-                         std::string(which) + ": " + st.ToString());
+    return ErrorResponse(ResponseCode::kError, label + ": " + st.ToString());
+  }
+
+  // The daemon's one wire-graph parse, shared by every handler. A
+  // malformed graph is the client's mistake: BAD_REQUEST "<label>: <why>".
+  static std::optional<Graph> ParseWire(const WireGraph& wire,
+                                        const std::string& label,
+                                        Response* error) {
+    auto g = Graph::FromEdges(wire.num_nodes, wire.edges);
+    if (!g.ok()) {
+      *error = ErrorResponse(ResponseCode::kBadRequest,
+                             label + ": " + g.status().ToString());
+      return std::nullopt;
+    }
+    return *std::move(g);
+  }
+
+  // Makes a reference's graph available, parsing or opening it at most
+  // once and counting each real parse or open in *loads. A by-hash
+  // reference needs a store, and is opened only when `open` is set: after
+  // the quarantine and cache probe missed. False with ref->error set on
+  // failure.
+  bool Load(GraphRef* ref, bool open, uint32_t* loads) {
+    if (ref->by_hash && graph_store_ == nullptr) {
+      ref->error = NoStoreResponse(ref->label);
+      return false;
+    }
+    if (ref->by_hash && !open) return true;
+    if (!ref->graph.has_value() && !ref->error.has_value()) {
+      if (ref->by_hash) {
+        auto g = graph_store_->Get(ref->hash);
+        if (g.ok()) {
+          ref->graph = *std::move(g);
+        } else {
+          ref->error = NoGraphResponse(ref->label, ref->hash, g.status());
+        }
+      } else {
+        Response error;
+        ref->graph = ParseWire(*ref->wire, ref->label, &error);
+        if (!ref->graph.has_value()) ref->error = std::move(error);
+      }
+      if (ref->graph.has_value()) ++*loads;
+    }
+    return ref->graph.has_value();
   }
 
   bool ShouldShed(uint64_t deadline_ms, double queue_wait_ms) const {
@@ -1023,46 +1075,6 @@ class Server::Impl {
     return response;
   }
 
-  Response HandleAlign(const AlignRequest& req, WorkerSlot* slot,
-                       double queue_wait_ms, Transport transport,
-                       const std::atomic<bool>* extra_cancel = nullptr) {
-    if (ShouldShed(req.deadline_ms, queue_wait_ms)) {
-      return ShedResponse(req.deadline_ms, queue_wait_ms, transport);
-    }
-    Result<Graph> g1 = Graph();
-    Result<Graph> g2 = Graph();
-    if (req.by_hash) {
-      // Submit-by-hash: resolve both graphs from the content-addressed
-      // store. The Graph aims straight into the read-only mapping, so the
-      // cache and quarantine keys cost no parse.
-      if (graph_store_ == nullptr) {
-        return ErrorResponse(
-            ResponseCode::kNoGraph,
-            "align-by-hash needs a graph store, and this daemon has none "
-            "(start it with --store-dir); submit inline graphs instead");
-      }
-      g1 = graph_store_->Get(req.g1_hash);
-      if (!g1.ok()) return NoGraphResponse("g1", req.g1_hash, g1.status());
-      g2 = graph_store_->Get(req.g2_hash);
-      if (!g2.ok()) return NoGraphResponse("g2", req.g2_hash, g2.status());
-    } else {
-      g1 = Graph::FromEdges(req.g1.num_nodes, req.g1.edges);
-      if (!g1.ok()) {
-        return ErrorResponse(ResponseCode::kBadRequest,
-                             "g1: " + g1.status().ToString());
-      }
-      g2 = Graph::FromEdges(req.g2.num_nodes, req.g2.edges);
-      if (!g2.ok()) {
-        return ErrorResponse(ResponseCode::kBadRequest,
-                             "g2: " + g2.status().ToString());
-      }
-    }
-    return AlignResolved(*g1, *g2,
-                         AlignSpec{req.algo, req.assign, req.deadline_ms,
-                                   req.mem_limit_mb, req.no_cache},
-                         slot, extra_cancel);
-  }
-
   Response QuarantinedResponse() {
     quarantined_responses_.fetch_add(1, std::memory_order_relaxed);
     return ErrorResponse(
@@ -1073,14 +1085,36 @@ class Server::Impl {
             "refusing to re-fork until restart");
   }
 
-  // The post-resolution align path shared by kAlign, every kAlignBatch job
-  // and the job runner: algorithm/assignment validation, quarantine, cache
-  // consult, the isolated run on the slot's helper, outcome mapping, and
-  // cache fill. Graph resolution stays with the callers so a batch can
-  // amortize it across jobs.
-  Response AlignResolved(const Graph& g1, const Graph& g2,
-                         const AlignSpec& req, WorkerSlot* slot,
-                         const std::atomic<bool>* extra_cancel = nullptr) {
+  // kAlign, and every async job through the job runner.
+  Response HandleAlign(const AlignRequest& req, WorkerSlot* slot,
+                       double queue_wait_ms, Transport transport,
+                       const std::atomic<bool>* extra_cancel = nullptr) {
+    GraphRef g1(req.by_hash, req.g1_hash, &req.g1, "g1");
+    GraphRef g2(req.by_hash, req.g2_hash, &req.g2, "g2");
+    uint32_t loads = 0;
+    return AlignJob(&g1, &g2,
+                    AlignSpec{req.algo, req.assign, req.deadline_ms,
+                              req.mem_limit_mb, req.no_cache},
+                    slot, queue_wait_ms, transport, &loads, extra_cancel);
+  }
+
+  // The daemon's one per-job align path, shared by kAlign, every
+  // kAlignBatch job and the job runner. In order: shed; check the graph
+  // references (parse wire graphs, and a by-hash one needs a store); check
+  // the names; probe quarantine and the result cache once, keyed by the
+  // two content hashes; open the by-hash graphs from the store; run the
+  // alignment isolated. A store graph's content hash is its store key, so
+  // a cache hit or a quarantined signature opens nothing.
+  Response AlignJob(GraphRef* g1, GraphRef* g2, const AlignSpec& req,
+                    WorkerSlot* slot, double queue_wait_ms,
+                    Transport transport, uint32_t* loads,
+                    const std::atomic<bool>* extra_cancel = nullptr) {
+    if (ShouldShed(req.deadline_ms, queue_wait_ms)) {
+      return ShedResponse(req.deadline_ms, queue_wait_ms, transport);
+    }
+    if (!Load(g1, /*open=*/false, loads)) return *g1->error;
+    if (!Load(g2, /*open=*/false, loads)) return *g2->error;
+
     // Validate the algorithm and assignment up front, in the parent: an
     // unknown name is a client mistake, not a reason to isolate anything.
     const Status names = CheckAlignNames(req.algo, req.assign);
@@ -1092,14 +1126,14 @@ class Server::Impl {
     // a kernel that segfaults on this graph pair crashes before extraction
     // ever runs, so re-forking it under a different extractor is the same
     // crash with extra steps.
-    const uint64_t fault_key = ResultCache::Key(
-        g1.ContentHash(), g2.ContentHash(), req.algo, "!quarantine");
+    const uint64_t h1 = g1->ContentHash();
+    const uint64_t h2 = g2->ContentHash();
+    const uint64_t fault_key =
+        ResultCache::Key(h1, h2, req.algo, "!quarantine");
     if (options_.quarantine_threshold > 0 && IsQuarantined(fault_key)) {
       return QuarantinedResponse();
     }
-
-    const uint64_t key = ResultCache::Key(g1.ContentHash(), g2.ContentHash(),
-                                          req.algo, req.assign);
+    const uint64_t key = ResultCache::Key(h1, h2, req.algo, req.assign);
     if (!req.no_cache) {
       std::string cached;
       if (cache_.Get(key, &cached)) {
@@ -1110,6 +1144,18 @@ class Server::Impl {
       }
     }
 
+    if (!Load(g1, /*open=*/true, loads)) return *g1->error;
+    if (!Load(g2, /*open=*/true, loads)) return *g2->error;
+    return RunAlignment(*g1->graph, *g2->graph, req, fault_key, key, slot,
+                        extra_cancel);
+  }
+
+  // The isolated run on the slot's helper, its outcome mapping, the
+  // quarantine bookkeeping and the cache fill.
+  Response RunAlignment(const Graph& g1, const Graph& g2,
+                        const AlignSpec& req, uint64_t fault_key,
+                        uint64_t key, WorkerSlot* slot,
+                        const std::atomic<bool>* extra_cancel) {
     SubprocessOptions isolation;
     if (req.mem_limit_mb > 0) {
       isolation.mem_limit_bytes =
@@ -1189,101 +1235,28 @@ class Server::Impl {
     // Each graph-table entry resolves at most once — lazily, so a batch
     // answered entirely from the cache (or shed outright) opens nothing.
     // K jobs over two store graphs cost 2 store opens, not 2K.
-    std::vector<std::unique_ptr<Graph>> resolved(req.graphs.size());
-    std::vector<Response> resolve_errors(req.graphs.size());
-    std::vector<bool> attempted(req.graphs.size(), false);
-    uint32_t loads = 0;
-    auto resolve = [&](uint32_t idx) -> const Graph* {
-      if (!attempted[idx]) {
-        attempted[idx] = true;
-        const BatchGraphRef& ref = req.graphs[idx];
-        if (ref.by_hash) {
-          if (graph_store_ == nullptr) {
-            resolve_errors[idx] = ErrorResponse(
-                ResponseCode::kNoGraph,
-                "batch graph " + std::to_string(idx) +
-                    " is by-hash, and this daemon has no graph store (start "
-                    "it with --store-dir); submit inline graphs instead");
-          } else {
-            auto g = graph_store_->Get(ref.hash);
-            if (g.ok()) {
-              resolved[idx] = std::make_unique<Graph>(*std::move(g));
-              ++loads;
-            } else {
-              resolve_errors[idx] = NoGraphResponse(
-                  ("batch graph " + std::to_string(idx)).c_str(), ref.hash,
-                  g.status());
-            }
-          }
-        } else {
-          auto g = Graph::FromEdges(ref.inline_graph.num_nodes,
-                                    ref.inline_graph.edges);
-          if (g.ok()) {
-            resolved[idx] = std::make_unique<Graph>(*std::move(g));
-            ++loads;
-          } else {
-            resolve_errors[idx] = ErrorResponse(
-                ResponseCode::kBadRequest,
-                "batch graph " + std::to_string(idx) + ": " +
-                    g.status().ToString());
-          }
-        }
-      }
-      return resolved[idx].get();
-    };
+    std::vector<GraphRef> table;
+    table.reserve(req.graphs.size());
+    for (size_t i = 0; i < req.graphs.size(); ++i) {
+      const BatchGraphRef& ref = req.graphs[i];
+      table.emplace_back(ref.by_hash, ref.hash, &ref.inline_graph,
+                         "batch graph " + std::to_string(i));
+    }
 
     AlignBatchResult batch;
     batch.jobs.resize(req.jobs.size());
     uint64_t cache_hits = 0;
     for (size_t i = 0; i < req.jobs.size(); ++i) {
       const BatchJob& job = req.jobs[i];
-      Response r;
-      if (ShouldShed(job.deadline_ms, queue_wait_ms)) {
-        // queue_wait_ms is the whole batch's admission wait; a job whose
-        // deadline it consumed is shed exactly as a standalone kAlign
-        // would be (jobs run serially, so later jobs have waited at least
-        // this long too).
-        r = ShedResponse(job.deadline_ms, queue_wait_ms, transport);
-      } else {
-        // By-hash jobs probe quarantine and the result cache with the table
-        // hashes before resolving anything: the store is content-addressed,
-        // so a graph's request hash IS its content hash, and an all-cached
-        // batch therefore opens zero graphs.
-        const BatchGraphRef& r1 = req.graphs[job.g1];
-        const BatchGraphRef& r2 = req.graphs[job.g2];
-        bool answered = false;
-        if (r1.by_hash && r2.by_hash) {
-          const uint64_t fault_key =
-              ResultCache::Key(r1.hash, r2.hash, job.algo, "!quarantine");
-          if (options_.quarantine_threshold > 0 && IsQuarantined(fault_key)) {
-            r = QuarantinedResponse();
-            answered = true;
-          } else if (!job.no_cache) {
-            std::string cached;
-            if (cache_.Get(ResultCache::Key(r1.hash, r2.hash, job.algo,
-                                            job.assign),
-                           &cached)) {
-              r.cache_hit = true;
-              r.body = std::move(cached);
-              answered = true;
-            }
-          }
-        }
-        if (!answered) {
-          const Graph* g1 = resolve(job.g1);
-          const Graph* g2 = resolve(job.g2);
-          if (g1 == nullptr) {
-            r = resolve_errors[job.g1];
-          } else if (g2 == nullptr) {
-            r = resolve_errors[job.g2];
-          } else {
-            r = AlignResolved(*g1, *g2,
-                              AlignSpec{job.algo, job.assign, job.deadline_ms,
-                                        job.mem_limit_mb, job.no_cache},
-                              slot);
-          }
-        }
-      }
+      // queue_wait_ms is the whole batch's admission wait; a job whose
+      // deadline it consumed is shed exactly as a standalone kAlign would
+      // be (jobs run serially, so later jobs have waited at least this long
+      // too).
+      Response r = AlignJob(&table[job.g1], &table[job.g2],
+                            AlignSpec{job.algo, job.assign, job.deadline_ms,
+                                      job.mem_limit_mb, job.no_cache},
+                            slot, queue_wait_ms, transport,
+                            &batch.graph_loads);
       BatchJobOutcome& out = batch.jobs[i];
       out.code = r.code;
       out.cache_hit = r.cache_hit;
@@ -1291,12 +1264,12 @@ class Server::Impl {
       if (r.code == ResponseCode::kOk) out.body = std::move(r.body);
       if (r.cache_hit) ++cache_hits;
     }
-    batch.graph_loads = loads;
 
     batches_.fetch_add(1, std::memory_order_relaxed);
     batch_jobs_.fetch_add(req.jobs.size(), std::memory_order_relaxed);
     batch_cache_hits_.fetch_add(cache_hits, std::memory_order_relaxed);
-    batch_graph_loads_.fetch_add(loads, std::memory_order_relaxed);
+    batch_graph_loads_.fetch_add(batch.graph_loads,
+                                 std::memory_order_relaxed);
 
     // Top-level code: OK when every job is OK, the shared code when every
     // job failed the same way (so retry classification keeps working, e.g.
@@ -1328,16 +1301,11 @@ class Server::Impl {
   }
 
   Response HandleEvaluate(const EvaluateRequest& req) {
-    auto g1 = Graph::FromEdges(req.g1.num_nodes, req.g1.edges);
-    if (!g1.ok()) {
-      return ErrorResponse(ResponseCode::kBadRequest,
-                           "g1: " + g1.status().ToString());
-    }
-    auto g2 = Graph::FromEdges(req.g2.num_nodes, req.g2.edges);
-    if (!g2.ok()) {
-      return ErrorResponse(ResponseCode::kBadRequest,
-                           "g2: " + g2.status().ToString());
-    }
+    Response error;
+    const std::optional<Graph> g1 = ParseWire(req.g1, "g1", &error);
+    if (!g1.has_value()) return error;
+    const std::optional<Graph> g2 = ParseWire(req.g2, "g2", &error);
+    if (!g2.has_value()) return error;
     if (static_cast<int>(req.mapping.size()) != g1->num_nodes()) {
       return ErrorResponse(ResponseCode::kBadRequest,
                            "mapping size does not match g1's node count");
@@ -1370,10 +1338,9 @@ class Server::Impl {
   }
 
   Response HandleStats(const StatsRequest& req) {
-    auto g = Graph::FromEdges(req.g.num_nodes, req.g.edges);
-    if (!g.ok()) {
-      return ErrorResponse(ResponseCode::kBadRequest, g.status().ToString());
-    }
+    Response error;
+    const std::optional<Graph> g = ParseWire(req.g, "graph", &error);
+    if (!g.has_value()) return error;
     StatsResult result;
     result.num_nodes = g->num_nodes();
     result.num_edges = g->num_edges();

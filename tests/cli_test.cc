@@ -1,6 +1,7 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -13,6 +14,7 @@
 #include "assignment/sparse_lap.h"
 #include "cli/cli.h"
 #include "common/table.h"
+#include "gateway/json.h"
 #include "graph/io.h"
 #include "metrics/metrics.h"
 
@@ -438,6 +440,34 @@ TEST(CliTest, MalformedNumbersNameTheFlag) {
     EXPECT_FALSE(std::ifstream(out).good()) << c.flag;
   }
   std::remove(g1.c_str());
+}
+
+// The bench report names each graph by its path; a path holding a quote
+// and a backslash must still yield a JSON document that parses and gives
+// the path back.
+TEST(CliTest, StoreBenchJsonEscapesTheGraphPath) {
+  const std::string g1 = TempPath("q\"uote\\slash.txt");
+  const std::string dir = TempPath("escape_store");
+  const std::string json = TempPath("escape_bench.json");
+  ASSERT_EQ(RunTool({"generate", "--model", "er", "--n", "20", "--p", "0.2",
+                     "--seed", "1", "--out", g1})
+                .exit_code,
+            0);
+  CliResult r = RunTool({"store", "bench", "--dir", dir, "--in", g1,
+                         "--reps", "1", "--json", json});
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  std::ifstream f(json);
+  std::ostringstream text;
+  text << f.rdbuf();
+  auto report = ParseJson(text.str());
+  ASSERT_TRUE(report.ok()) << report.status().ToString() << "\n"
+                           << text.str();
+  const std::vector<JsonValue>& rows = report->Get("rows").AsArray();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].Get("graph").AsString(), g1);
+  std::remove(g1.c_str());
+  std::remove(json.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CliTest, ValueTakingFlagWithoutValueFails) {

@@ -841,7 +841,11 @@ TEST_F(GatewayFixture, KeepAliveServesSequentialRequests) {
 }
 
 TEST_F(GatewayFixture, StatsReportsBothLayers) {
-  StartDaemon({});
+  ServerOptions sopts;
+  sopts.workers = 2;
+  sopts.jobs_dir = TempPath("statsjobs");
+  sopts.job_workers = 1;
+  StartDaemon(sopts);
   StartGateway();
 
   ASSERT_EQ(Get(port(), "/healthz").status, 200);
@@ -860,6 +864,17 @@ TEST_F(GatewayFixture, StatsReportsBothLayers) {
   // per-transport counter moves.
   ASSERT_TRUE(daemon.Get("served_http").AsInt64(&v, 1, 1 << 20));
   ASSERT_TRUE(daemon.Get("served").AsInt64(&v, 1, 1 << 20));
+  // The durable-cache and restart counters `submit --stats` prints.
+  for (const char* key : {"cache_crc_skipped", "cache_truncated_bytes",
+                          "cache_append_errors", "cache_open_errors"}) {
+    EXPECT_TRUE(daemon.Get(key).AsInt64(&v, 0, 1 << 20)) << key;
+  }
+  // One restart count per watchdog slot: two workers plus one job runner.
+  const JsonValue& restarts = daemon.Get("worker_restarts");
+  ASSERT_EQ(restarts.AsArray().size(), 3u);
+  for (const JsonValue& r : restarts.AsArray()) {
+    EXPECT_TRUE(r.AsInt64(&v, 0, 1 << 20));
+  }
 }
 
 TEST_F(GatewayFixture, ConcurrentClientsAllSucceed) {

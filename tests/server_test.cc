@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -246,6 +247,30 @@ TEST(CodecTest, ResponseRoundTrip) {
   EXPECT_EQ(decoded->elapsed_us, 123456u);
   EXPECT_EQ(decoded->message, resp.message);
   EXPECT_EQ(decoded->body, resp.body);
+}
+
+// The code byte is range-checked: the codes are dense from OK (0) to
+// CONFLICT (15), and anything past that is named in the error.
+TEST(CodecTest, ResponseCodeByteIsRangeChecked) {
+  const std::vector<std::pair<uint8_t, bool>> cases = {
+      {0, true}, {15, true}, {16, false}, {255, false}};
+  for (const auto& [code, valid] : cases) {
+    Response resp;
+    resp.code = static_cast<ResponseCode>(code);
+    auto decoded = DecodeResponse(EncodeResponse(resp));
+    if (valid) {
+      ASSERT_TRUE(decoded.ok()) << int{code} << ": "
+                                << decoded.status().ToString();
+      EXPECT_EQ(static_cast<int>(decoded->code), code);
+    } else {
+      ASSERT_FALSE(decoded.ok()) << int{code};
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(decoded.status().message().find("unknown response code " +
+                                                std::to_string(code)),
+                std::string::npos)
+          << decoded.status().ToString();
+    }
+  }
 }
 
 TEST(CodecTest, AlignResultRoundTrip) {

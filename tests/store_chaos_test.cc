@@ -12,6 +12,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -243,6 +244,32 @@ class StoreServerChaosTest : public StoreChaosTest {
     return req;
   }
 
+  // A one-job batch over a two-entry graph table; each entry is a store
+  // hash, or inline when its graph is given.
+  static Request BatchRequest(const Graph& g1, bool g1_by_hash,
+                              const Graph& g2, bool g2_by_hash) {
+    Request req;
+    req.type = RequestType::kAlignBatch;
+    for (const auto& [g, by_hash] :
+         {std::pair(&g1, g1_by_hash), std::pair(&g2, g2_by_hash)}) {
+      BatchGraphRef ref;
+      ref.by_hash = by_hash;
+      if (by_hash) {
+        ref.hash = g->ContentHash();
+      } else {
+        ref.inline_graph = ToWire(*g);
+      }
+      req.align_batch.graphs.push_back(ref);
+    }
+    BatchJob job;
+    job.g1 = 0;
+    job.g2 = 1;
+    job.algo = "GRASP";
+    job.assign = "JV";
+    req.align_batch.jobs.push_back(job);
+    return req;
+  }
+
   std::string socket_path_;
   std::unique_ptr<Server> server_;
 };
@@ -402,6 +429,130 @@ TEST_F(StoreServerChaosTest, CacheLogEnospcDegradesDurabilityNotService) {
   auto third = client->Call(WireAlignRequest(g2, g1));
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(third->code, ResponseCode::kOk) << third->message;
+}
+
+// ---------------------------------------------------------------------------
+// One per-job align path: kAlign and batch jobs probe quarantine and the
+// cache once, by content hash, before any store graph is opened.
+
+TEST_F(StoreServerChaosTest, RepeatedByHashAlignHitsWithoutOpeningTheStore) {
+  ServerOptions opts;
+  opts.socket_path = TempSocketPath("rehit");
+  opts.workers = 2;
+  opts.store_dir = dir_;
+  StartServer(opts);
+
+  const Graph g1 = SmallGraph(30);
+  const Graph g2 = SmallGraph(31);
+  auto client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_EQ(client->Call(PutRequest(g1))->code, ResponseCode::kOk);
+  ASSERT_EQ(client->Call(PutRequest(g2))->code, ResponseCode::kOk);
+
+  auto first =
+      client->Call(ByHashRequest(g1.ContentHash(), g2.ContentHash()));
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->code, ResponseCode::kOk) << first->message;
+  EXPECT_FALSE(first->cache_hit);
+
+  const uint64_t gets_before = server_->stats().store_gets;
+  auto second =
+      client->Call(ByHashRequest(g1.ContentHash(), g2.ContentHash()));
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(second->code, ResponseCode::kOk) << second->message;
+  EXPECT_TRUE(second->cache_hit);
+  EXPECT_EQ(second->body, first->body);
+  EXPECT_EQ(server_->stats().store_gets, gets_before);
+}
+
+TEST_F(StoreServerChaosTest, UncachedByHashBatchJobCountsOneMiss) {
+  ServerOptions opts;
+  opts.socket_path = TempSocketPath("onemiss");
+  opts.workers = 2;
+  opts.store_dir = dir_;
+  StartServer(opts);
+
+  const Graph g1 = SmallGraph(32);
+  const Graph g2 = SmallGraph(33);
+  auto client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_EQ(client->Call(PutRequest(g1))->code, ResponseCode::kOk);
+  ASSERT_EQ(client->Call(PutRequest(g2))->code, ResponseCode::kOk);
+
+  const uint64_t misses_before = server_->cache_stats().misses;
+  auto batch = client->Call(BatchRequest(g1, true, g2, true));
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(batch->code, ResponseCode::kOk) << batch->message;
+  auto result = DecodeAlignBatchResult(batch->body);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->jobs.size(), 1u);
+  EXPECT_FALSE(result->jobs[0].cache_hit);
+  EXPECT_EQ(result->graph_loads, 2u);
+  EXPECT_EQ(server_->cache_stats().misses - misses_before, 1u);
+}
+
+TEST_F(StoreServerChaosTest, MixedBatchJobOnACachedPairOpensNoStoreGraph) {
+  ServerOptions opts;
+  opts.socket_path = TempSocketPath("mixed");
+  opts.workers = 2;
+  opts.store_dir = dir_;
+  StartServer(opts);
+
+  const Graph g1 = SmallGraph(34);
+  const Graph g2 = SmallGraph(35);
+  auto client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_EQ(client->Call(PutRequest(g2))->code, ResponseCode::kOk);
+  auto warm = client->Call(WireAlignRequest(g1, g2));
+  ASSERT_TRUE(warm.ok());
+  ASSERT_EQ(warm->code, ResponseCode::kOk) << warm->message;
+
+  // g1 inline, g2 by hash: the inline graph is parsed to learn its content
+  // hash, the probe hits, and the store graph is never opened.
+  const uint64_t gets_before = server_->stats().store_gets;
+  auto batch = client->Call(BatchRequest(g1, false, g2, true));
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(batch->code, ResponseCode::kOk) << batch->message;
+  auto result = DecodeAlignBatchResult(batch->body);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->jobs.size(), 1u);
+  EXPECT_TRUE(result->jobs[0].cache_hit);
+  EXPECT_EQ(result->graph_loads, 1u);
+  EXPECT_EQ(server_->stats().store_gets, gets_before);
+}
+
+TEST_F(StoreServerChaosTest, ByHashBatchJobWithoutAStoreIsNoGraphEvenIfCached) {
+  ServerOptions opts;
+  opts.socket_path = TempSocketPath("nostore");
+  opts.workers = 2;
+  StartServer(opts);
+
+  const Graph g1 = SmallGraph(36);
+  const Graph g2 = SmallGraph(37);
+  auto client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto warm = client->Call(WireAlignRequest(g1, g2));
+  ASSERT_TRUE(warm.ok());
+  ASSERT_EQ(warm->code, ResponseCode::kOk) << warm->message;
+
+  // The pair is cached, but a by-hash reference needs a store, exactly as
+  // a by-hash kAlign does.
+  auto batch = client->Call(BatchRequest(g1, true, g2, true));
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(batch->code, ResponseCode::kNoGraph) << batch->message;
+  auto result = DecodeAlignBatchResult(batch->body);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->jobs.size(), 1u);
+  EXPECT_EQ(result->jobs[0].code, ResponseCode::kNoGraph);
+  EXPECT_NE(result->jobs[0].message.find("--store-dir"), std::string::npos)
+      << result->jobs[0].message;
+  auto by_hash =
+      client->Call(ByHashRequest(g1.ContentHash(), g2.ContentHash()));
+  ASSERT_TRUE(by_hash.ok());
+  EXPECT_EQ(by_hash->code, ResponseCode::kNoGraph);
+  EXPECT_EQ(by_hash->message.substr(by_hash->message.find(':')),
+            result->jobs[0].message.substr(
+                result->jobs[0].message.find(':')));
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 #   3. a daemon armed with --store-dir answers submit-by-hash: put-graph
 #      twice, has-graph (present and absent), align by hash, and the by-hash
 #      mapping must be byte-identical to the wire-path mapping of the same
-#      pair,
+#      pair; the repeated by-hash align is a cache hit that opens nothing
+#      from the store,
 #   4. store bench times text parse-load vs GST1 mmap-open on paper-scale
 #      graphs and writes the BENCH-convention report; mmap must win.
 #
@@ -116,6 +117,23 @@ grep -q "status=OK" "$WORK/byhash.out" || {
   cat "$WORK/byhash.out" >&2
   exit 1
 }
+# The repeat is answered from the result cache before any store graph is
+# opened: cache=hit, and the store's gets= counter does not move.
+store_gets() {
+  "$TOOL" submit --socket "$SOCK" --stats |
+    sed -n 's/^graph_store: .* gets=\([0-9]*\).*/\1/p'
+}
+GETS_BEFORE="$(store_gets)"
+"$TOOL" submit --socket "$SOCK" --g1-hash "$H1" --g2-hash "$H2" \
+  --algo GRASP > "$WORK/byhash2.out"
+GETS_AFTER="$(store_gets)"
+if ! grep -q "cache=hit" "$WORK/byhash2.out" || [[ -z "$GETS_BEFORE" ]] ||
+  [[ "$GETS_AFTER" != "$GETS_BEFORE" ]]; then
+  echo "repeated by-hash align was not a store-free cache hit" \
+    "(gets $GETS_BEFORE -> $GETS_AFTER):" >&2
+  cat "$WORK/byhash2.out" >&2
+  exit 1
+fi
 "$TOOL" submit --socket "$SOCK" --g1 "$WORK/s1.txt" --g2 "$WORK/s2.txt" \
   --algo GRASP --no-cache --out "$WORK/wire.map" > /dev/null
 cmp -s "$WORK/byhash.map" "$WORK/wire.map" || {
@@ -131,7 +149,8 @@ grep -q "graph_store: puts=" "$WORK/stats.out" || {
 "$TOOL" submit --socket "$SOCK" --shutdown > /dev/null
 wait "$DAEMON_PID" 2> /dev/null || true
 DAEMON_PID=""
-echo "put-graph/has-graph/align-by-hash round trip matched the wire path"
+echo "put-graph/has-graph/align-by-hash round trip matched the wire path;" \
+  "the repeat hit the cache without opening the store"
 
 echo "== 4/4 bench: parse-load vs mmap-open =="
 # Run from $WORK so the report's graph names are stable basenames, not
