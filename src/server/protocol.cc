@@ -474,8 +474,9 @@ Result<AlignBatchResult> DecodeAlignBatchResult(std::string_view body) {
       num_jobs > kMaxBatchJobs) {
     return BadPayload("malformed align batch result");
   }
-  result.jobs.resize(num_jobs);
-  for (BatchJobOutcome& job : result.jobs) {
+  result.jobs.reserve(num_jobs);
+  for (uint32_t i = 0; i < num_jobs; ++i) {
+    BatchJobOutcome& job = result.jobs.emplace_back();
     uint8_t code = 0, cache_hit = 0;
     if (!r.U8(&code) || !r.U8(&cache_hit) ||
         !r.Str(&job.message, kMaxMessageLen) ||
