@@ -79,16 +79,10 @@ Result<std::unique_ptr<Aligner>> MakeRequestAligner(const std::string& algo) {
   return MakeAligner(algo);
 }
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Codecs. Both ends are the same binary, built from the same sources.
-
-struct HelperRequest {
-  AlignRequest spec;
-  double wall_limit_seconds = 0.0;
-  int64_t mem_limit_bytes = 0;
-  bool exit_before_reply = false;
-  std::vector<std::string> failpoints;
-};
 
 std::string EncodeHelperRequest(const HelperRequest& req) {
   ByteWriter w;
@@ -176,6 +170,8 @@ Result<SubprocessResult> DecodeHelperReply(std::string_view bytes) {
   run.payload_valid = payload_valid != 0;
   return run;
 }
+
+namespace {
 
 // The isolated child reports a result or a typed error through the payload
 // pipe: u8 ok, then AlignResult bytes or (u8 code, string message).

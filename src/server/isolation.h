@@ -37,6 +37,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "common/subprocess.h"
@@ -53,6 +54,24 @@ Status CheckAlignNames(const std::string& algo, const std::string& assign);
 // an OK response whose body is an encoded AlignResult, or a typed error
 // code and message. False when the bytes are malformed.
 bool DecodeAlignOutcome(std::string_view payload, Response* response);
+
+// What a worker slot sends its helper: the align spec with both graphs
+// inline, the child's caps, and the daemon's armed failpoints.
+struct HelperRequest {
+  AlignRequest spec;
+  double wall_limit_seconds = 0.0;
+  int64_t mem_limit_bytes = 0;
+  bool exit_before_reply = false;  // Failpoint: die before replying.
+  std::vector<std::string> failpoints;
+};
+
+std::string EncodeHelperRequest(const HelperRequest& req);
+Result<HelperRequest> DecodeHelperRequest(std::string_view bytes);
+
+// The helper's reply: the run's SubprocessResult, or the Status that kept
+// the helper from running the child at all.
+std::string EncodeHelperReply(const Result<SubprocessResult>& run);
+Result<SubprocessResult> DecodeHelperReply(std::string_view bytes);
 
 // The daemon's end of one helper's socket. One per worker slot, used by one
 // thread at a time. Closing it sends the helper EOF, and the helper exits.

@@ -18,7 +18,9 @@
 # arithmetic over caller buffers for every daemon, gateway and helper
 # connection. The flag reader suite rides along because every number from
 # the command line and the environment goes through its strtol/strtod
-# end-pointer checks.
+# end-pointer checks. The wire golden suite rides along because it drives
+# every message's field list both ways, through the same reader the
+# daemon, its isolation helpers and the bench harness decode with.
 #
 # Usage: tools/run_sanitize.sh [source-dir]
 # Exits 77 (the ctest SKIP_RETURN_CODE) when the toolchain cannot produce an
@@ -39,7 +41,7 @@ fi
 
 # Only these suites and their dependency closure — not the whole tree.
 SUITES=(sparse_test protocol_fuzz_test record_log_test assignment_test
-  dense_golden_test linalg_test socket_test flags_test)
+  dense_golden_test linalg_test socket_test flags_test wire_golden_test)
 
 cmake -S "$SRC" -B "$BUILD" -DGRAPHALIGN_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
