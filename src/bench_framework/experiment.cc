@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "common/exit_codes.h"
@@ -15,84 +14,33 @@
 #include "common/subprocess.h"
 #include "common/table.h"
 #include "common/timer.h"
+#include "common/wire.h"
 
 namespace graphalign {
 
+// RunOutcome's field list (common/wire.h), across the isolation pipe. Parent
+// and child are the same binary, so strings are uncapped.
+template <typename Ar>
+void Fields(Ar& ar, Msg<RunOutcome> auto& out) {
+  ar.U8(out.completed);
+  ar.U8(out.degraded);
+  ar.U8(out.transient);
+  ar.I32(out.code);
+  ar.I32(out.completed_runs);
+  ar.F64(out.quality.accuracy);
+  ar.F64(out.quality.mnc);
+  ar.F64(out.quality.ec);
+  ar.F64(out.quality.ics);
+  ar.F64(out.quality.s3);
+  ar.F64(out.similarity_seconds);
+  ar.F64(out.assignment_seconds);
+  ar.F64(out.peak_mem_mb);
+  ar.U64(out.aux_count);
+  ar.Str(out.error, kUncapped);
+  ar.Str(out.degrade_reason, kUncapped);
+}
+
 namespace {
-
-// ---------------------------------------------------------------------------
-// RunOutcome marshaling across the isolation pipe. Parent and child are the
-// same binary, so a fixed struct of the POD fields plus the error string is
-// enough; a version tag guards against a stale parent reading a child built
-// from different code (impossible via fork, cheap to check anyway).
-
-constexpr uint32_t kWireVersion = 5;
-
-struct WireOutcome {
-  uint32_t version;
-  uint8_t completed;
-  uint8_t degraded;
-  uint8_t transient;
-  int32_t code;
-  int32_t completed_runs;
-  double accuracy, mnc, ec, ics, s3;
-  double similarity_seconds, assignment_seconds, peak_mem_mb;
-  int64_t aux_count;
-  uint64_t error_len;
-  uint64_t degrade_reason_len;
-};
-
-std::string EncodeRunOutcome(const RunOutcome& out) {
-  WireOutcome wire = {};
-  wire.version = kWireVersion;
-  wire.completed = out.completed ? 1 : 0;
-  wire.degraded = out.degraded ? 1 : 0;
-  wire.transient = out.transient ? 1 : 0;
-  wire.code = out.code;
-  wire.completed_runs = out.completed_runs;
-  wire.accuracy = out.quality.accuracy;
-  wire.mnc = out.quality.mnc;
-  wire.ec = out.quality.ec;
-  wire.ics = out.quality.ics;
-  wire.s3 = out.quality.s3;
-  wire.similarity_seconds = out.similarity_seconds;
-  wire.assignment_seconds = out.assignment_seconds;
-  wire.peak_mem_mb = out.peak_mem_mb;
-  wire.aux_count = out.aux_count;
-  wire.error_len = out.error.size();
-  wire.degrade_reason_len = out.degrade_reason.size();
-  std::string bytes(reinterpret_cast<const char*>(&wire), sizeof(wire));
-  bytes.append(out.error);
-  bytes.append(out.degrade_reason);
-  return bytes;
-}
-
-bool DecodeRunOutcome(const std::string& bytes, RunOutcome* out) {
-  if (bytes.size() < sizeof(WireOutcome)) return false;
-  WireOutcome wire;
-  std::memcpy(&wire, bytes.data(), sizeof(wire));
-  if (wire.version != kWireVersion) return false;
-  if (bytes.size() != sizeof(wire) + wire.error_len + wire.degrade_reason_len) {
-    return false;
-  }
-  out->completed = wire.completed != 0;
-  out->degraded = wire.degraded != 0;
-  out->transient = wire.transient != 0;
-  out->code = wire.code;
-  out->completed_runs = wire.completed_runs;
-  out->quality.accuracy = wire.accuracy;
-  out->quality.mnc = wire.mnc;
-  out->quality.ec = wire.ec;
-  out->quality.ics = wire.ics;
-  out->quality.s3 = wire.s3;
-  out->similarity_seconds = wire.similarity_seconds;
-  out->assignment_seconds = wire.assignment_seconds;
-  out->peak_mem_mb = wire.peak_mem_mb;
-  out->aux_count = wire.aux_count;
-  out->error = bytes.substr(sizeof(wire), wire.error_len);
-  out->degrade_reason = bytes.substr(sizeof(wire) + wire.error_len);
-  return true;
-}
 
 SubprocessOptions OptionsFromArgs(const BenchArgs& args) {
   SubprocessOptions opt;
@@ -122,14 +70,15 @@ RunOutcome RunOutcomeInChild(const SubprocessOptions& options,
           out.peak_mem_mb =
               static_cast<double>(PeakRssBytes()) / (1024.0 * 1024.0);
         }
-        return WritePayload(payload_fd, EncodeRunOutcome(out)) ? 0 : 1;
+        return WritePayload(payload_fd, EncodeFields(out)) ? 0 : 1;
       },
       options);
   if (!run.ok()) return FailedOutcome(run.status());
   const Outcome verdict = ClassifyRun(*run);
   if (!verdict.ok()) return FailedOutcome(verdict);
+  FieldReader reader(run->payload, "");
   RunOutcome out;
-  if (run->payload_valid && DecodeRunOutcome(run->payload, &out)) return out;
+  if (run->payload_valid && DecodeFields(reader, out, "")) return out;
   return FailedOutcome(Outcome{
       kExitError, "isolated child exited cleanly but returned no result"});
 }
@@ -338,9 +287,17 @@ RunOutcome MeasurePeakMemory(const BenchArgs& args,
                              const std::function<void()>& body) {
   return RunOutcomeInChild(OptionsFromArgs(args), [&] {
     body();
+    // The peak is this probe's result: one it cannot read is a failed
+    // cell, not a feasible 0.0 MB.
+    const int64_t peak = PeakRssBytes();
+    if (peak <= 0) {
+      return FailedOutcome(
+          Outcome{kExitError, "peak RSS unreadable from /proc/self/status"});
+    }
     RunOutcome out;
     out.completed = true;
     out.completed_runs = 1;
+    out.peak_mem_mb = static_cast<double>(peak) / (1024.0 * 1024.0);
     return out;
   });
 }

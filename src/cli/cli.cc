@@ -867,6 +867,9 @@ int CmdSubmit(FlagReader& flags, std::ostream& out, std::ostream& err,
       out << "admission: busy=" << stats->busy_rejected
           << " quota=" << stats->quota_rejected << " shed=" << stats->shed
           << "\n";
+      out << "transport: served_http=" << stats->served_http
+          << " quota_rejected_http=" << stats->quota_rejected_http
+          << " shed_http=" << stats->shed_http << "\n";
       out << "quarantine: responses=" << stats->quarantined
           << " signatures=" << stats->quarantined_signatures
           << " watchdog_kills=" << stats->watchdog_kills << "\n";
@@ -880,6 +883,10 @@ int CmdSubmit(FlagReader& flags, std::ostream& out, std::ostream& err,
           << " corrupt=" << stats->store_corrupt
           << " missing=" << stats->store_missing
           << " unavailable=" << stats->store_unavailable << "\n";
+      out << "batch: batches=" << stats->batches
+          << " jobs=" << stats->batch_jobs
+          << " cache_hits=" << stats->batch_cache_hits
+          << " graph_loads=" << stats->batch_graph_loads << "\n";
       out << "jobs: submitted=" << stats->jobs_submitted
           << " deduped=" << stats->jobs_deduped
           << " done=" << stats->jobs_done

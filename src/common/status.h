@@ -37,6 +37,10 @@ enum class StatusCode {
   kCorrupt,
 };
 
+// The last StatusCode: a code read back from a pipe is range-checked
+// against it.
+inline constexpr StatusCode kLastStatusCode = StatusCode::kCorrupt;
+
 // Human-readable name of a status code, e.g. "InvalidArgument".
 const char* StatusCodeName(StatusCode code);
 

@@ -277,6 +277,34 @@ JsonValue JobInfoJson(const JobInfo& info) {
   return out;
 }
 
+// An archive (common/wire.h) that walks ServerStatsResult's field list into
+// a JSON object: each field under its name, in wire order.
+class StatsJsonWriter {
+ public:
+  void U64(uint64_t v, const char* name = nullptr) {
+    Put(name, static_cast<double>(v));
+  }
+  void F64(double v, const char* name) { Put(name, v); }
+  template <typename V, typename Fn>
+  void List(const V& items, uint64_t /*max*/, Fn&& each, const char* name) {
+    list_ = JsonValue::Array();
+    for (const auto& item : items) each(item);
+    object_.Set(name, std::move(list_));
+  }
+
+  JsonValue Take() { return std::move(object_); }
+
+ private:
+  // A field without a name is an item of the list being written.
+  void Put(const char* name, double v) {
+    if (name == nullptr) return list_.Push(JsonValue::Number(v));
+    object_.Set(name, JsonValue::Number(v));
+  }
+
+  JsonValue object_ = JsonValue::Object();
+  JsonValue list_;
+};
+
 }  // namespace
 
 Status BatchRequestFromJson(const JsonValue& body, Request* request) {
@@ -687,52 +715,9 @@ class Gateway::Impl {
       return Send(fd, HttpStatusForResponseCode(response->code), out.Dump(),
                   keep_alive);
     }
-    const ServerStatsResult& d = *decoded;
-    JsonValue daemon = JsonValue::Object();
-    auto num = [](uint64_t v) {
-      return JsonValue::Number(static_cast<double>(v));
-    };
-    daemon.Set("workers", num(d.workers));
-    daemon.Set("uptime_seconds", JsonValue::Number(d.uptime_seconds));
-    daemon.Set("accepted", num(d.accepted));
-    daemon.Set("served", num(d.served));
-    daemon.Set("served_http", num(d.served_http));
-    daemon.Set("busy_rejected", num(d.busy_rejected));
-    daemon.Set("quota_rejected", num(d.quota_rejected));
-    daemon.Set("quota_rejected_http", num(d.quota_rejected_http));
-    daemon.Set("shed", num(d.shed));
-    daemon.Set("shed_http", num(d.shed_http));
-    daemon.Set("quarantined", num(d.quarantined));
-    daemon.Set("quarantined_signatures", num(d.quarantined_signatures));
-    daemon.Set("watchdog_kills", num(d.watchdog_kills));
-    daemon.Set("queue_depth", num(d.queue_depth));
-    daemon.Set("in_flight", num(d.in_flight));
-    daemon.Set("batches", num(d.batches));
-    daemon.Set("batch_jobs", num(d.batch_jobs));
-    daemon.Set("batch_cache_hits", num(d.batch_cache_hits));
-    daemon.Set("batch_graph_loads", num(d.batch_graph_loads));
-    daemon.Set("jobs_submitted", num(d.jobs_submitted));
-    daemon.Set("jobs_deduped", num(d.jobs_deduped));
-    daemon.Set("jobs_done", num(d.jobs_done));
-    daemon.Set("jobs_failed", num(d.jobs_failed));
-    daemon.Set("jobs_cancelled", num(d.jobs_cancelled));
-    daemon.Set("jobs_executions", num(d.jobs_executions));
-    daemon.Set("jobs_recovered", num(d.jobs_recovered));
-    daemon.Set("jobs_pending", num(d.jobs_pending));
-    daemon.Set("cache_replayed", num(d.cache_replayed));
-    daemon.Set("cache_crc_skipped", num(d.cache_crc_skipped));
-    daemon.Set("cache_truncated_bytes", num(d.cache_truncated_bytes));
-    daemon.Set("cache_append_errors", num(d.cache_append_errors));
-    daemon.Set("cache_open_errors", num(d.cache_open_errors));
-    daemon.Set("store_puts", num(d.store_puts));
-    daemon.Set("store_gets", num(d.store_gets));
-    daemon.Set("store_corrupt", num(d.store_corrupt));
-    daemon.Set("store_missing", num(d.store_missing));
-    daemon.Set("store_unavailable", num(d.store_unavailable));
-    JsonValue restarts = JsonValue::Array();
-    for (uint64_t r : d.worker_restarts) restarts.Push(num(r));
-    daemon.Set("worker_restarts", std::move(restarts));
-    out.Set("daemon", std::move(daemon));
+    StatsJsonWriter daemon;
+    Fields(daemon, *decoded);
+    out.Set("daemon", daemon.Take());
     out.Set("status", JsonValue::Str("OK"));
     return Send(fd, 200, out.Dump(), keep_alive);
   }

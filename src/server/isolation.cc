@@ -82,112 +82,70 @@ Result<std::unique_ptr<Aligner>> MakeRequestAligner(const std::string& algo) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Codecs. Both ends are the same binary, built from the same sources.
+// Field lists (common/wire.h). Both ends are the same binary, built from the
+// same sources, so strings are uncapped.
 
-std::string EncodeHelperRequest(const HelperRequest& req) {
-  ByteWriter w;
-  w.Str(EncodeAlignSpec(req.spec));
-  w.F64(req.wall_limit_seconds);
-  w.U64(static_cast<uint64_t>(req.mem_limit_bytes));
-  w.U8(req.exit_before_reply ? 1 : 0);
-  w.U32(static_cast<uint32_t>(req.failpoints.size()));
-  for (const std::string& fp : req.failpoints) w.Str(fp);
-  return w.Take();
-}
-
-Result<HelperRequest> DecodeHelperRequest(std::string_view bytes) {
-  ByteReader r(bytes);
-  HelperRequest req;
-  std::string spec;
-  uint64_t mem = 0;
-  uint8_t exit_before_reply = 0;
-  uint32_t failpoints = 0;
-  if (!r.Str(&spec, bytes.size()) || !r.F64(&req.wall_limit_seconds) ||
-      !r.U64(&mem) || !r.U8(&exit_before_reply) || !r.U32(&failpoints)) {
-    return Status::Internal("isolation: malformed helper request");
-  }
-  for (uint32_t i = 0; i < failpoints; ++i) {
-    std::string fp;
-    if (!r.Str(&fp, bytes.size())) {
-      return Status::Internal("isolation: malformed helper request");
-    }
-    req.failpoints.push_back(std::move(fp));
-  }
-  if (!r.AtEnd()) return Status::Internal("isolation: malformed helper request");
-  GA_ASSIGN_OR_RETURN(req.spec, DecodeAlignSpec(spec));
-  req.mem_limit_bytes = static_cast<int64_t>(mem);
-  req.exit_before_reply = exit_before_reply != 0;
-  return req;
-}
-
-// Reply: u8 1 + the SubprocessResult, or u8 0 + the Status that kept the
-// helper from running the child at all.
-std::string EncodeHelperReply(const Result<SubprocessResult>& run) {
-  ByteWriter w;
-  if (!run.ok()) {
-    w.U8(0);
-    w.U32(static_cast<uint32_t>(run.status().code()));
-    w.Str(run.status().message());
-    return w.Take();
-  }
-  w.U8(1);
-  w.U8(static_cast<uint8_t>(run->status));
-  w.I32(run->exit_code);
-  w.I32(run->term_signal);
-  w.F64(run->wall_seconds);
-  w.U8(run->killed_on_cancel ? 1 : 0);
-  w.U8(run->payload_valid ? 1 : 0);
-  w.Str(run->payload);
-  w.Str(run->detail);
-  return w.Take();
-}
-
-Result<SubprocessResult> DecodeHelperReply(std::string_view bytes) {
-  const Status malformed = Status::Internal("isolation: malformed helper reply");
-  ByteReader r(bytes);
-  uint8_t ran = 0;
-  if (!r.U8(&ran)) return malformed;
-  if (ran == 0) {
-    uint32_t code = 0;
-    std::string message;
-    if (!r.U32(&code) || !r.Str(&message, bytes.size()) || !r.AtEnd() ||
-        code == 0) {
-      return malformed;
-    }
-    return Status(static_cast<StatusCode>(code), std::move(message));
-  }
-  SubprocessResult run;
-  uint8_t status = 0, killed_on_cancel = 0, payload_valid = 0;
-  if (!r.U8(&status) || !r.I32(&run.exit_code) || !r.I32(&run.term_signal) ||
-      !r.F64(&run.wall_seconds) || !r.U8(&killed_on_cancel) ||
-      !r.U8(&payload_valid) || !r.Str(&run.payload, bytes.size()) ||
-      !r.Str(&run.detail, bytes.size()) || !r.AtEnd() ||
-      status > static_cast<uint8_t>(RunStatus::kTimeout)) {
-    return malformed;
-  }
-  run.status = static_cast<RunStatus>(status);
-  run.killed_on_cancel = killed_on_cancel != 0;
-  run.payload_valid = payload_valid != 0;
-  return run;
+// The spec travels nested, as its own canonical bytes (EncodeAlignSpec).
+template <typename Ar>
+void Fields(Ar& ar, Msg<HelperRequest> auto& req) {
+  ar.Nested(req.spec, EncodeAlignSpec, DecodeAlignSpec);
+  ar.F64(req.wall_limit_seconds);
+  ar.U64(req.mem_limit_bytes);
+  ar.U8(req.exit_before_reply);
+  ar.List(req.failpoints, UINT32_MAX,
+          [&](auto& fp) { ar.Str(fp, kUncapped); });
 }
 
 namespace {
 
-// The isolated child reports a result or a typed error through the payload
-// pipe: u8 ok, then AlignResult bytes or (u8 code, string message).
-std::string EncodeChildOutcome(const AlignResult& result) {
-  ByteWriter w;
-  w.U8(1);
-  w.Str(EncodeAlignResult(result));
-  return w.Take();
+// The helper's reply: u8 1 and the run's SubprocessResult, or u8 0 and the
+// Status that kept the helper from running the child at all.
+struct HelperReply {
+  bool ran = false;
+  StatusCode code = StatusCode::kOk;  // An error code when !ran.
+  std::string message;
+  SubprocessResult run;
+};
+
+template <typename Ar>
+void Fields(Ar& ar, Msg<HelperReply> auto& reply) {
+  ar.U8(reply.ran);
+  if (!reply.ran) {
+    ar.U32(reply.code, kLastStatusCode);
+    ar.Check(reply.code != StatusCode::kOk);
+    ar.Str(reply.message, kUncapped);
+    return;
+  }
+  auto& run = reply.run;
+  ar.U8(run.status, RunStatus::kTimeout);
+  ar.I32(run.exit_code);
+  ar.I32(run.term_signal);
+  ar.F64(run.wall_seconds);
+  ar.U8(run.killed_on_cancel);
+  ar.U8(run.payload_valid);
+  ar.Str(run.payload, kUncapped);
+  ar.Str(run.detail, kUncapped);
 }
 
-std::string EncodeChildError(ResponseCode code, const std::string& message) {
-  ByteWriter w;
-  w.U8(0);
-  w.U8(static_cast<uint8_t>(code));
-  w.Str(message);
-  return w.Take();
+// The isolated child reports on its payload pipe, as a Response: u8 1 and
+// the encoded AlignResult (the body), or u8 0, the code and the message.
+template <typename Ar>
+void ChildOutcomeFields(Ar& ar, Msg<Response> auto& outcome) {
+  bool ok = outcome.code == ResponseCode::kOk;
+  ar.U8(ok);
+  if (ok) return ar.Str(outcome.body, kMaxFramePayload);
+  ar.U8(outcome.code, ResponseCode::kConflict);
+  ar.Str(outcome.message, kMaxFramePayload);
+}
+
+template <typename T>
+Result<T> Decode(std::string_view bytes, const char* what) {
+  FieldReader r(bytes, what);
+  T message;
+  if (!DecodeFields(r, message, what)) {
+    return Status::Internal("isolation: " + r.error());
+  }
+  return message;
 }
 
 // ---------------------------------------------------------------------------
@@ -211,11 +169,11 @@ int AlignChild(const AlignRequest& spec, const Graph& g1, const Graph& g2,
   Result<AlignReport> report =
       plan.ok() ? aligner->Run(g1, g2, *plan, deadline)
                 : Result<AlignReport>(plan.status());
-  std::string outcome;
+  Response outcome;
   if (!report.ok()) {
     const Outcome verdict = ClassifyStatus(report.status());
-    outcome = EncodeChildError(static_cast<ResponseCode>(verdict.code),
-                               verdict.message);
+    outcome.code = static_cast<ResponseCode>(verdict.code);
+    outcome.message = verdict.message;
   } else {
     const Alignment& alignment = report->alignment;
     AlignResult result;
@@ -226,9 +184,11 @@ int AlignChild(const AlignRequest& spec, const Graph& g1, const Graph& g2,
     result.mapping.assign(alignment.begin(), alignment.end());
     result.degraded = report->degraded;
     result.degrade_reason = report->degrade_reason;
-    outcome = EncodeChildOutcome(result);
+    outcome.body = EncodeAlignResult(result);
   }
-  return WritePayload(payload_fd, outcome) ? 0 : 1;
+  FieldWriter w;
+  ChildOutcomeFields(w, outcome);
+  return WritePayload(payload_fd, w.Take()) ? 0 : 1;
 }
 
 // Runs one decoded request: the daemon's failpoints, then the alignment in
@@ -372,24 +332,40 @@ Status CheckAlignNames(const std::string& algo, const std::string& assign) {
 }
 
 bool DecodeAlignOutcome(std::string_view payload, Response* response) {
-  ByteReader r(payload);
-  uint8_t ok = 0;
-  if (!r.U8(&ok)) return false;
-  if (ok != 0) {
-    std::string body;
-    if (!r.Str(&body, kMaxFramePayload) || !r.AtEnd()) return false;
-    response->code = ResponseCode::kOk;
-    response->body = std::move(body);
-    return true;
-  }
-  uint8_t code = 0;
-  std::string message;
-  if (!r.U8(&code) || !r.Str(&message, kMaxFramePayload) || !r.AtEnd()) {
-    return false;
-  }
-  response->code = static_cast<ResponseCode>(code);
-  response->message = std::move(message);
+  FieldReader r(payload, "");
+  Response outcome;
+  ChildOutcomeFields(r, outcome);
+  r.End();
+  if (r.failed()) return false;
+  *response = std::move(outcome);
   return true;
+}
+
+std::string EncodeHelperRequest(const HelperRequest& req) {
+  return EncodeFields(req);
+}
+
+Result<HelperRequest> DecodeHelperRequest(std::string_view bytes) {
+  return Decode<HelperRequest>(bytes, "malformed helper request");
+}
+
+std::string EncodeHelperReply(const Result<SubprocessResult>& run) {
+  HelperReply reply;
+  reply.ran = run.ok();
+  if (reply.ran) {
+    reply.run = *run;
+  } else {
+    reply.code = run.status().code();
+    reply.message = run.status().message();
+  }
+  return EncodeFields(reply);
+}
+
+Result<SubprocessResult> DecodeHelperReply(std::string_view bytes) {
+  GA_ASSIGN_OR_RETURN(HelperReply reply,
+                      Decode<HelperReply>(bytes, "malformed helper reply"));
+  if (!reply.ran) return Status(reply.code, std::move(reply.message));
+  return std::move(reply.run);
 }
 
 void IsolationHelper::Close() {

@@ -22,86 +22,257 @@ Status BadPayload(const std::string& what) {
   return Status::InvalidArgument("protocol: " + what);
 }
 
-bool ReadWireGraph(ByteReader* r, WireGraph* g) {
-  uint32_t n = 0;
-  uint64_t m = 0;
-  if (!r->U32(&n) || !r->U64(&m)) return false;
-  if (n > kMaxWireNodes || m > kMaxWireEdges) return false;
-  g->num_nodes = static_cast<int>(n);
-  g->edges.clear();
-  g->edges.reserve(static_cast<size_t>(m));
-  for (uint64_t i = 0; i < m; ++i) {
-    uint32_t u = 0, v = 0;
-    if (!r->U32(&u) || !r->U32(&v)) return false;
+// ---------------------------------------------------------------------------
+// Field lists (common/wire.h), one per message, in wire order.
+
+template <typename Ar>
+void CheckVersion(Ar& ar, uint32_t version) {
+  if (version != kProtocolVersion) {
+    ar.Fail("unsupported protocol version " + std::to_string(version));
+  }
+}
+
+bool IsEmpty(const WireGraph& g) { return g.num_nodes == 0 && g.edges.empty(); }
+
+template <typename Ar, typename V>
+void MappingFields(Ar& ar, V& mapping) {
+  ar.List(mapping, kMaxWireNodes, [&](auto& v) { ar.I32(v); });
+}
+
+}  // namespace
+
+template <typename Ar>
+void Fields(Ar& ar, Msg<WireGraph> auto& g) {
+  ar.U32(g.num_nodes, kMaxWireNodes);
+  ar.List64(g.edges, kMaxWireEdges, [&](auto& e) {
+    ar.U32(e.u);
+    ar.U32(e.v);
     // Endpoint range is validated here so Graph::FromEdges sees sane ints;
     // semantic validation (self-loops, duplicates) stays with the graph.
-    if (u >= n || v >= n) return false;
-    g->edges.push_back({static_cast<int>(u), static_cast<int>(v)});
-  }
-  return true;
-}
-
-void WriteWireGraph(ByteWriter* w, const WireGraph& g) {
-  w->U32(static_cast<uint32_t>(g.num_nodes));
-  w->U64(g.edges.size());
-  for (const Edge& e : g.edges) {
-    w->U32(static_cast<uint32_t>(e.u));
-    w->U32(static_cast<uint32_t>(e.v));
-  }
-}
-
-bool ReadMapping(ByteReader* r, std::vector<int32_t>* mapping) {
-  uint32_t n = 0;
-  if (!r->U32(&n) || n > kMaxWireNodes) return false;
-  mapping->clear();
-  mapping->reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    int32_t v = 0;
-    if (!r->I32(&v)) return false;
-    mapping->push_back(v);
-  }
-  return true;
-}
-
-void WriteMapping(ByteWriter* w, const std::vector<int32_t>& mapping) {
-  w->U32(static_cast<uint32_t>(mapping.size()));
-  for (int32_t v : mapping) w->I32(v);
+    ar.Check(0 <= e.u && e.u < g.num_nodes && 0 <= e.v && e.v < g.num_nodes);
+  });
 }
 
 // The align-request field block, shared by kAlign, kSubmitJob, and the
 // durable job spec (EncodeAlignSpec): one encoding, three carriers.
-void WriteAlignRequest(ByteWriter* w, const AlignRequest& a) {
-  w->Str(a.algo);
-  w->Str(a.assign);
-  w->U64(a.deadline_ms);
-  w->U64(a.mem_limit_mb);
-  w->U8(a.no_cache ? 1 : 0);
-  w->U8(a.by_hash ? 1 : 0);
-  w->U64(a.g1_hash);
-  w->U64(a.g2_hash);
-  WriteWireGraph(w, a.g1);
-  WriteWireGraph(w, a.g2);
-}
-
-bool ReadAlignRequest(ByteReader* r, AlignRequest* a) {
-  uint8_t no_cache = 0;
-  uint8_t by_hash = 0;
-  if (!r->Str(&a->algo, kMaxNameLen) || !r->Str(&a->assign, kMaxNameLen) ||
-      !r->U64(&a->deadline_ms) || !r->U64(&a->mem_limit_mb) ||
-      !r->U8(&no_cache) || !r->U8(&by_hash) || !r->U64(&a->g1_hash) ||
-      !r->U64(&a->g2_hash) || !ReadWireGraph(r, &a->g1) ||
-      !ReadWireGraph(r, &a->g2)) {
-    return false;
-  }
-  a->no_cache = no_cache != 0;
-  a->by_hash = by_hash != 0;
+template <typename Ar>
+void Fields(Ar& ar, Msg<AlignRequest> auto& a) {
+  ar.Str(a.algo, kMaxNameLen);
+  ar.Str(a.assign, kMaxNameLen);
+  ar.U64(a.deadline_ms);
+  ar.U64(a.mem_limit_mb);
+  ar.U8(a.no_cache);
+  ar.U8(a.by_hash);
+  ar.U64(a.g1_hash);
+  ar.U64(a.g2_hash);
+  Fields(ar, a.g1);
+  Fields(ar, a.g2);
   // A by-hash align must not also carry inline graphs: the two sources
   // could disagree and the cache key would be ambiguous.
-  if (a->by_hash && (a->g1.num_nodes != 0 || !a->g1.edges.empty() ||
-                     a->g2.num_nodes != 0 || !a->g2.edges.empty())) {
-    return false;
+  ar.Check(!a.by_hash || (IsEmpty(a.g1) && IsEmpty(a.g2)));
+}
+
+template <typename Ar>
+void Fields(Ar& ar, Msg<AlignBatchRequest> auto& b) {
+  ar.Context("malformed batch graph table");
+  ar.List(b.graphs, kMaxBatchGraphs, [&](auto& g) {
+    ar.Context("malformed batch graph entry");
+    ar.U8(g.by_hash, true);
+    ar.U64(g.hash);
+    Fields(ar, g.inline_graph);
+    // Mirror the kAlign rule: a hash reference must not also carry an
+    // inline graph (the two could disagree).
+    if (g.by_hash && !IsEmpty(g.inline_graph)) {
+      ar.Fail("batch graph entry has both hash and inline");
+    }
+  });
+  ar.Check(!b.graphs.empty());  // Still the table's context when empty.
+  ar.Context("malformed batch job list");
+  ar.List(b.jobs, kMaxBatchJobs, [&](auto& j) {
+    ar.Context("malformed batch job");
+    ar.U32(j.g1);
+    ar.U32(j.g2);
+    ar.Str(j.algo, kMaxNameLen);
+    ar.Str(j.assign, kMaxNameLen);
+    ar.U64(j.deadline_ms);
+    ar.U64(j.mem_limit_mb);
+    ar.U8(j.no_cache);
+    if (j.g1 >= b.graphs.size() || j.g2 >= b.graphs.size()) {
+      ar.Fail("batch job references a graph out of range");
+    }
+  });
+  ar.Check(!b.jobs.empty());
+}
+
+template <typename Ar>
+void Fields(Ar& ar, Msg<Request> auto& q) {
+  uint32_t version = kProtocolVersion;
+  ar.U32(version);
+  ar.U8(q.type);
+  CheckVersion(ar, version);
+  ar.Context("malformed client identity");
+  ar.Str(q.client, kMaxNameLen);
+  ar.Context("malformed transport tag");
+  ar.U8(q.transport, Transport::kHttp);
+  switch (q.type) {
+    case RequestType::kPing:
+    case RequestType::kCacheInfo:
+    case RequestType::kShutdown:
+    case RequestType::kServerStats:
+      break;
+    case RequestType::kAlign:
+      ar.Context("malformed align request");
+      Fields(ar, q.align);
+      break;
+    case RequestType::kSubmitJob:
+      ar.Context("malformed submit-job request");
+      Fields(ar, q.submit_job.align);
+      ar.Str(q.submit_job.idem_key, kMaxNameLen);
+      break;
+    case RequestType::kJobStatus:
+    case RequestType::kJobResult:
+    case RequestType::kCancelJob:
+      ar.Context("malformed job id request");
+      ar.U64(q.job_id.job_id);
+      break;
+    case RequestType::kEvaluate:
+      ar.Context("malformed evaluate request");
+      Fields(ar, q.evaluate.g1);
+      Fields(ar, q.evaluate.g2);
+      MappingFields(ar, q.evaluate.mapping);
+      MappingFields(ar, q.evaluate.truth);
+      break;
+    case RequestType::kStats:
+      ar.Context("malformed stats request");
+      Fields(ar, q.stats.g);
+      break;
+    case RequestType::kPutGraph:
+      ar.Context("malformed put-graph request");
+      Fields(ar, q.put_graph.g);
+      break;
+    case RequestType::kHasGraph:
+      ar.Context("malformed has-graph request");
+      ar.U64(q.has_graph.hash);
+      break;
+    case RequestType::kAlignBatch:
+      Fields(ar, q.align_batch);
+      break;
+    default:
+      ar.Fail("unknown request type " +
+              std::to_string(static_cast<int>(q.type)));
   }
-  return true;
+}
+
+template <typename Ar>
+void Fields(Ar& ar, Msg<Response> auto& r) {
+  uint32_t version = kProtocolVersion;
+  ar.U32(version);
+  ar.U8(r.code);
+  ar.U8(r.cache_hit);
+  ar.U64(r.elapsed_us);
+  ar.U64(r.retry_after_ms);
+  ar.Str(r.message, kMaxMessageLen);
+  ar.Str(r.body, kMaxFramePayload);
+  // A response's shape is checked before its version and its code.
+  ar.End();
+  CheckVersion(ar, version);
+  if (!IsResponseCode(static_cast<uint32_t>(r.code))) {
+    ar.Fail("unknown response code " +
+            std::to_string(static_cast<int>(r.code)));
+  }
+}
+
+template <typename Ar>
+void Fields(Ar& ar, Msg<AlignResult> auto& r) {
+  MappingFields(ar, r.mapping);
+  ar.F64(r.mnc);
+  ar.F64(r.ec);
+  ar.F64(r.s3);
+  ar.F64(r.align_seconds);
+  ar.U8(r.degraded);
+  ar.Str(r.degrade_reason, kMaxMessageLen);
+}
+
+template <typename Ar>
+void Fields(Ar& ar, Msg<AlignBatchResult> auto& b) {
+  ar.U32(b.graph_loads);
+  ar.List(b.jobs, kMaxBatchJobs, [&](auto& job) {
+    ar.Context("malformed align batch job outcome");
+    ar.U8(job.code, ResponseCode::kConflict);
+    ar.U8(job.cache_hit);
+    ar.Str(job.message, kMaxMessageLen);
+    ar.Str(job.body, kMaxFramePayload);
+  });
+}
+
+template <typename Ar>
+void Fields(Ar& ar, Msg<EvaluateResult> auto& r) {
+  ar.F64(r.mnc);
+  ar.F64(r.ec);
+  ar.F64(r.ics);
+  ar.F64(r.s3);
+  ar.U8(r.has_accuracy);
+  ar.F64(r.accuracy);
+}
+
+template <typename Ar>
+void Fields(Ar& ar, Msg<StatsResult> auto& r) {
+  ar.I32(r.num_nodes);
+  ar.U64(r.num_edges);
+  ar.F64(r.avg_degree);
+  ar.I32(r.max_degree);
+  ar.I32(r.components);
+  ar.U64(r.content_hash);
+}
+
+template <typename Ar>
+void Fields(Ar& ar, Msg<JobInfo> auto& info) {
+  ar.U64(info.job_id);
+  ar.U32(info.state);
+  ar.Str(info.state_name, kMaxNameLen);
+  ar.U32(info.attempts);
+  ar.U32(info.max_attempts);
+  ar.U64(info.submitted_unix_ms);
+  ar.U64(info.updated_unix_ms);
+  ar.U32(info.terminal_code);
+  ar.Str(info.message, kMaxMessageLen);
+  ar.U8(info.existing);
+}
+
+template <typename Ar>
+void Fields(Ar& ar, Msg<CacheInfoResult> auto& r) {
+  ar.U64(r.hits);
+  ar.U64(r.misses);
+  ar.U64(r.evictions);
+  ar.U64(r.entries);
+  ar.U64(r.bytes);
+  ar.U64(r.capacity_bytes);
+}
+
+template <typename Ar>
+void Fields(Ar& ar, Msg<PutGraphResult> auto& r) {
+  ar.U64(r.content_hash);
+  ar.U8(r.already_present);
+}
+
+template <typename Ar>
+void Fields(Ar& ar, Msg<HasGraphResult> auto& r) {
+  ar.U8(r.present);
+}
+
+namespace {
+
+// Decodes one whole message: a failure inside is named by the field list,
+// trailing bytes by `trailing`.
+template <typename T>
+Result<T> Decode(std::string_view bytes, const char* what,
+                 const char* trailing = nullptr) {
+  FieldReader r(bytes, what);
+  T message;
+  if (!DecodeFields(r, message, trailing != nullptr ? trailing : what)) {
+    return BadPayload(r.error());
+  }
+  return message;
 }
 
 }  // namespace
@@ -195,193 +366,12 @@ WireGraph ToWire(const Graph& g) {
 }
 
 std::string EncodeRequest(const Request& request) {
-  ByteWriter w;
-  w.U32(kProtocolVersion);
-  w.U8(static_cast<uint8_t>(request.type));
-  w.Str(request.client);
-  w.U8(static_cast<uint8_t>(request.transport));
-  switch (request.type) {
-    case RequestType::kPing:
-    case RequestType::kCacheInfo:
-    case RequestType::kShutdown:
-    case RequestType::kServerStats:
-      break;
-    case RequestType::kAlign:
-      WriteAlignRequest(&w, request.align);
-      break;
-    case RequestType::kSubmitJob:
-      WriteAlignRequest(&w, request.submit_job.align);
-      w.Str(request.submit_job.idem_key);
-      break;
-    case RequestType::kJobStatus:
-    case RequestType::kJobResult:
-    case RequestType::kCancelJob:
-      w.U64(request.job_id.job_id);
-      break;
-    case RequestType::kEvaluate: {
-      const EvaluateRequest& e = request.evaluate;
-      WriteWireGraph(&w, e.g1);
-      WriteWireGraph(&w, e.g2);
-      WriteMapping(&w, e.mapping);
-      WriteMapping(&w, e.truth);
-      break;
-    }
-    case RequestType::kStats:
-      WriteWireGraph(&w, request.stats.g);
-      break;
-    case RequestType::kPutGraph:
-      WriteWireGraph(&w, request.put_graph.g);
-      break;
-    case RequestType::kHasGraph:
-      w.U64(request.has_graph.hash);
-      break;
-    case RequestType::kAlignBatch: {
-      const AlignBatchRequest& b = request.align_batch;
-      w.U32(static_cast<uint32_t>(b.graphs.size()));
-      for (const BatchGraphRef& g : b.graphs) {
-        w.U8(g.by_hash ? 1 : 0);
-        w.U64(g.hash);
-        WriteWireGraph(&w, g.inline_graph);
-      }
-      w.U32(static_cast<uint32_t>(b.jobs.size()));
-      for (const BatchJob& j : b.jobs) {
-        w.U32(j.g1);
-        w.U32(j.g2);
-        w.Str(j.algo);
-        w.Str(j.assign);
-        w.U64(j.deadline_ms);
-        w.U64(j.mem_limit_mb);
-        w.U8(j.no_cache ? 1 : 0);
-      }
-      break;
-    }
-  }
-  return w.Take();
+  return EncodeFields(request);
 }
 
 Result<Request> DecodeRequest(std::string_view payload) {
-  ByteReader r(payload);
-  uint32_t version = 0;
-  uint8_t type = 0;
-  if (!r.U32(&version) || !r.U8(&type)) {
-    return BadPayload("request too short for version and type");
-  }
-  if (version != kProtocolVersion) {
-    return BadPayload("unsupported protocol version " +
-                      std::to_string(version));
-  }
-  Request request;
-  if (!r.Str(&request.client, kMaxNameLen)) {
-    return BadPayload("malformed client identity");
-  }
-  uint8_t transport = 0;
-  if (!r.U8(&transport) ||
-      transport > static_cast<uint8_t>(Transport::kHttp)) {
-    return BadPayload("malformed transport tag");
-  }
-  request.transport = static_cast<Transport>(transport);
-  switch (static_cast<RequestType>(type)) {
-    case RequestType::kPing:
-    case RequestType::kCacheInfo:
-    case RequestType::kShutdown:
-    case RequestType::kServerStats:
-      request.type = static_cast<RequestType>(type);
-      break;
-    case RequestType::kAlign:
-      request.type = RequestType::kAlign;
-      if (!ReadAlignRequest(&r, &request.align)) {
-        return BadPayload("malformed align request");
-      }
-      break;
-    case RequestType::kSubmitJob:
-      request.type = RequestType::kSubmitJob;
-      if (!ReadAlignRequest(&r, &request.submit_job.align) ||
-          !r.Str(&request.submit_job.idem_key, kMaxNameLen)) {
-        return BadPayload("malformed submit-job request");
-      }
-      break;
-    case RequestType::kJobStatus:
-    case RequestType::kJobResult:
-    case RequestType::kCancelJob:
-      request.type = static_cast<RequestType>(type);
-      if (!r.U64(&request.job_id.job_id)) {
-        return BadPayload("malformed job id request");
-      }
-      break;
-    case RequestType::kEvaluate: {
-      request.type = RequestType::kEvaluate;
-      EvaluateRequest& e = request.evaluate;
-      if (!ReadWireGraph(&r, &e.g1) || !ReadWireGraph(&r, &e.g2) ||
-          !ReadMapping(&r, &e.mapping) || !ReadMapping(&r, &e.truth)) {
-        return BadPayload("malformed evaluate request");
-      }
-      break;
-    }
-    case RequestType::kStats:
-      request.type = RequestType::kStats;
-      if (!ReadWireGraph(&r, &request.stats.g)) {
-        return BadPayload("malformed stats request");
-      }
-      break;
-    case RequestType::kPutGraph:
-      request.type = RequestType::kPutGraph;
-      if (!ReadWireGraph(&r, &request.put_graph.g)) {
-        return BadPayload("malformed put-graph request");
-      }
-      break;
-    case RequestType::kHasGraph:
-      request.type = RequestType::kHasGraph;
-      if (!r.U64(&request.has_graph.hash)) {
-        return BadPayload("malformed has-graph request");
-      }
-      break;
-    case RequestType::kAlignBatch: {
-      request.type = RequestType::kAlignBatch;
-      AlignBatchRequest& b = request.align_batch;
-      uint32_t num_graphs = 0;
-      if (!r.U32(&num_graphs) || num_graphs == 0 ||
-          num_graphs > kMaxBatchGraphs) {
-        return BadPayload("malformed batch graph table");
-      }
-      b.graphs.resize(num_graphs);
-      for (BatchGraphRef& g : b.graphs) {
-        uint8_t by_hash = 0;
-        if (!r.U8(&by_hash) || by_hash > 1 || !r.U64(&g.hash) ||
-            !ReadWireGraph(&r, &g.inline_graph)) {
-          return BadPayload("malformed batch graph entry");
-        }
-        g.by_hash = by_hash != 0;
-        // Mirror the kAlign rule: a hash reference must not also carry an
-        // inline graph (the two could disagree).
-        if (g.by_hash && (g.inline_graph.num_nodes != 0 ||
-                          !g.inline_graph.edges.empty())) {
-          return BadPayload("batch graph entry has both hash and inline");
-        }
-      }
-      uint32_t num_jobs = 0;
-      if (!r.U32(&num_jobs) || num_jobs == 0 || num_jobs > kMaxBatchJobs) {
-        return BadPayload("malformed batch job list");
-      }
-      b.jobs.resize(num_jobs);
-      for (BatchJob& j : b.jobs) {
-        uint8_t no_cache = 0;
-        if (!r.U32(&j.g1) || !r.U32(&j.g2) || !r.Str(&j.algo, kMaxNameLen) ||
-            !r.Str(&j.assign, kMaxNameLen) || !r.U64(&j.deadline_ms) ||
-            !r.U64(&j.mem_limit_mb) || !r.U8(&no_cache)) {
-          return BadPayload("malformed batch job");
-        }
-        j.no_cache = no_cache != 0;
-        if (j.g1 >= num_graphs || j.g2 >= num_graphs) {
-          return BadPayload("batch job references a graph out of range");
-        }
-      }
-      break;
-    }
-    default:
-      return BadPayload("unknown request type " + std::to_string(type));
-  }
-  if (!r.AtEnd()) return BadPayload("trailing bytes after request");
-  return request;
+  return Decode<Request>(payload, "request too short for version and type",
+                         "trailing bytes after request");
 }
 
 // ---------------------------------------------------------------------------
@@ -392,339 +382,89 @@ const char* ResponseCodeName(ResponseCode code) {
 }
 
 std::string EncodeResponse(const Response& response) {
-  ByteWriter w;
-  w.U32(kProtocolVersion);
-  w.U8(static_cast<uint8_t>(response.code));
-  w.U8(response.cache_hit ? 1 : 0);
-  w.U64(response.elapsed_us);
-  w.U64(response.retry_after_ms);
-  w.Str(response.message);
-  w.Str(response.body);
-  return w.Take();
+  return EncodeFields(response);
 }
 
 Result<Response> DecodeResponse(std::string_view payload) {
-  ByteReader r(payload);
-  uint32_t version = 0;
-  uint8_t code = 0, cache_hit = 0;
-  Response response;
-  if (!r.U32(&version) || !r.U8(&code) || !r.U8(&cache_hit) ||
-      !r.U64(&response.elapsed_us) || !r.U64(&response.retry_after_ms) ||
-      !r.Str(&response.message, kMaxMessageLen) ||
-      !r.Str(&response.body, kMaxFramePayload) ||
-      !r.AtEnd()) {
-    return BadPayload("malformed response");
-  }
-  if (version != kProtocolVersion) {
-    return BadPayload("unsupported protocol version " +
-                      std::to_string(version));
-  }
-  if (!IsResponseCode(code)) {
-    return BadPayload("unknown response code " + std::to_string(code));
-  }
-  response.code = static_cast<ResponseCode>(code);
-  response.cache_hit = cache_hit != 0;
-  return response;
+  return Decode<Response>(payload, "malformed response");
 }
 
 std::string EncodeAlignResult(const AlignResult& result) {
-  ByteWriter w;
-  WriteMapping(&w, result.mapping);
-  w.F64(result.mnc);
-  w.F64(result.ec);
-  w.F64(result.s3);
-  w.F64(result.align_seconds);
-  w.U8(result.degraded ? 1 : 0);
-  w.Str(result.degrade_reason);
-  return w.Take();
+  return EncodeFields(result);
 }
 
 Result<AlignResult> DecodeAlignResult(std::string_view body) {
-  ByteReader r(body);
-  AlignResult result;
-  uint8_t degraded = 0;
-  if (!ReadMapping(&r, &result.mapping) || !r.F64(&result.mnc) ||
-      !r.F64(&result.ec) || !r.F64(&result.s3) ||
-      !r.F64(&result.align_seconds) || !r.U8(&degraded) ||
-      !r.Str(&result.degrade_reason, kMaxMessageLen) || !r.AtEnd()) {
-    return BadPayload("malformed align result");
-  }
-  result.degraded = degraded != 0;
-  return result;
+  return Decode<AlignResult>(body, "malformed align result");
 }
 
 std::string EncodeAlignBatchResult(const AlignBatchResult& result) {
-  ByteWriter w;
-  w.U32(result.graph_loads);
-  w.U32(static_cast<uint32_t>(result.jobs.size()));
-  for (const BatchJobOutcome& job : result.jobs) {
-    w.U8(static_cast<uint8_t>(job.code));
-    w.U8(job.cache_hit ? 1 : 0);
-    w.Str(job.message);
-    w.Str(job.body);
-  }
-  return w.Take();
+  return EncodeFields(result);
 }
 
 Result<AlignBatchResult> DecodeAlignBatchResult(std::string_view body) {
-  ByteReader r(body);
-  AlignBatchResult result;
-  uint32_t num_jobs = 0;
-  if (!r.U32(&result.graph_loads) || !r.U32(&num_jobs) ||
-      num_jobs > kMaxBatchJobs) {
-    return BadPayload("malformed align batch result");
-  }
-  result.jobs.reserve(num_jobs);
-  for (uint32_t i = 0; i < num_jobs; ++i) {
-    BatchJobOutcome& job = result.jobs.emplace_back();
-    uint8_t code = 0, cache_hit = 0;
-    if (!r.U8(&code) || !r.U8(&cache_hit) ||
-        !r.Str(&job.message, kMaxMessageLen) ||
-        !r.Str(&job.body, kMaxFramePayload) || !IsResponseCode(code)) {
-      return BadPayload("malformed align batch job outcome");
-    }
-    job.code = static_cast<ResponseCode>(code);
-    job.cache_hit = cache_hit != 0;
-  }
-  if (!r.AtEnd()) return BadPayload("malformed align batch result");
-  return result;
+  return Decode<AlignBatchResult>(body, "malformed align batch result");
 }
 
 std::string EncodeEvaluateResult(const EvaluateResult& result) {
-  ByteWriter w;
-  w.F64(result.mnc);
-  w.F64(result.ec);
-  w.F64(result.ics);
-  w.F64(result.s3);
-  w.U8(result.has_accuracy ? 1 : 0);
-  w.F64(result.accuracy);
-  return w.Take();
+  return EncodeFields(result);
 }
 
 Result<EvaluateResult> DecodeEvaluateResult(std::string_view body) {
-  ByteReader r(body);
-  EvaluateResult result;
-  uint8_t has_accuracy = 0;
-  if (!r.F64(&result.mnc) || !r.F64(&result.ec) || !r.F64(&result.ics) ||
-      !r.F64(&result.s3) || !r.U8(&has_accuracy) ||
-      !r.F64(&result.accuracy) || !r.AtEnd()) {
-    return BadPayload("malformed evaluate result");
-  }
-  result.has_accuracy = has_accuracy != 0;
-  return result;
+  return Decode<EvaluateResult>(body, "malformed evaluate result");
 }
 
 std::string EncodeStatsResult(const StatsResult& result) {
-  ByteWriter w;
-  w.I32(result.num_nodes);
-  w.U64(static_cast<uint64_t>(result.num_edges));
-  w.F64(result.avg_degree);
-  w.I32(result.max_degree);
-  w.I32(result.components);
-  w.U64(result.content_hash);
-  return w.Take();
+  return EncodeFields(result);
 }
 
 Result<StatsResult> DecodeStatsResult(std::string_view body) {
-  ByteReader r(body);
-  StatsResult result;
-  uint64_t edges = 0;
-  if (!r.I32(&result.num_nodes) || !r.U64(&edges) ||
-      !r.F64(&result.avg_degree) || !r.I32(&result.max_degree) ||
-      !r.I32(&result.components) || !r.U64(&result.content_hash) ||
-      !r.AtEnd()) {
-    return BadPayload("malformed stats result");
-  }
-  result.num_edges = static_cast<int64_t>(edges);
-  return result;
+  return Decode<StatsResult>(body, "malformed stats result");
 }
 
-std::string EncodeJobInfo(const JobInfo& info) {
-  ByteWriter w;
-  w.U64(info.job_id);
-  w.U32(info.state);
-  w.Str(info.state_name);
-  w.U32(info.attempts);
-  w.U32(info.max_attempts);
-  w.U64(info.submitted_unix_ms);
-  w.U64(info.updated_unix_ms);
-  w.U32(info.terminal_code);
-  w.Str(info.message);
-  w.U8(info.existing ? 1 : 0);
-  return w.Take();
-}
+std::string EncodeJobInfo(const JobInfo& info) { return EncodeFields(info); }
 
 Result<JobInfo> DecodeJobInfo(std::string_view body) {
-  ByteReader r(body);
-  JobInfo info;
-  uint8_t existing = 0;
-  if (!r.U64(&info.job_id) || !r.U32(&info.state) ||
-      !r.Str(&info.state_name, kMaxNameLen) || !r.U32(&info.attempts) ||
-      !r.U32(&info.max_attempts) || !r.U64(&info.submitted_unix_ms) ||
-      !r.U64(&info.updated_unix_ms) || !r.U32(&info.terminal_code) ||
-      !r.Str(&info.message, kMaxMessageLen) || !r.U8(&existing) ||
-      !r.AtEnd()) {
-    return BadPayload("malformed job info");
-  }
-  info.existing = existing != 0;
-  return info;
+  return Decode<JobInfo>(body, "malformed job info");
 }
 
 std::string EncodeAlignSpec(const AlignRequest& align) {
-  ByteWriter w;
-  WriteAlignRequest(&w, align);
-  return w.Take();
+  return EncodeFields(align);
 }
 
 Result<AlignRequest> DecodeAlignSpec(std::string_view spec) {
-  ByteReader r(spec);
-  AlignRequest align;
-  if (!ReadAlignRequest(&r, &align) || !r.AtEnd()) {
-    return BadPayload("malformed align spec");
-  }
-  return align;
+  return Decode<AlignRequest>(spec, "malformed align spec");
 }
 
 std::string EncodeServerStatsResult(const ServerStatsResult& result) {
-  ByteWriter w;
-  w.U64(result.workers);
-  w.F64(result.uptime_seconds);
-  w.U64(result.accepted);
-  w.U64(result.served);
-  w.U64(result.busy_rejected);
-  w.U64(result.quota_rejected);
-  w.U64(result.shed);
-  w.U64(result.quarantined);
-  w.U64(result.quarantined_signatures);
-  w.U64(result.watchdog_kills);
-  w.U64(result.queue_depth);
-  w.U64(result.in_flight);
-  w.U64(result.cache_replayed);
-  w.U64(result.cache_crc_skipped);
-  w.U64(result.cache_truncated_bytes);
-  w.U64(result.cache_append_errors);
-  w.U64(result.cache_open_errors);
-  w.U64(result.store_puts);
-  w.U64(result.store_gets);
-  w.U64(result.store_corrupt);
-  w.U64(result.store_missing);
-  w.U64(result.store_unavailable);
-  w.U64(result.served_http);
-  w.U64(result.quota_rejected_http);
-  w.U64(result.shed_http);
-  w.U64(result.batches);
-  w.U64(result.batch_jobs);
-  w.U64(result.batch_cache_hits);
-  w.U64(result.batch_graph_loads);
-  w.U64(result.jobs_submitted);
-  w.U64(result.jobs_deduped);
-  w.U64(result.jobs_done);
-  w.U64(result.jobs_failed);
-  w.U64(result.jobs_cancelled);
-  w.U64(result.jobs_executions);
-  w.U64(result.jobs_recovered);
-  w.U64(result.jobs_pending);
-  w.U32(static_cast<uint32_t>(result.worker_restarts.size()));
-  for (uint64_t r : result.worker_restarts) w.U64(r);
-  return w.Take();
+  return EncodeFields(result);
 }
 
 Result<ServerStatsResult> DecodeServerStatsResult(std::string_view body) {
-  ByteReader r(body);
-  ServerStatsResult result;
-  uint32_t workers = 0;
-  if (!r.U64(&result.workers) || !r.F64(&result.uptime_seconds) ||
-      !r.U64(&result.accepted) || !r.U64(&result.served) ||
-      !r.U64(&result.busy_rejected) || !r.U64(&result.quota_rejected) ||
-      !r.U64(&result.shed) || !r.U64(&result.quarantined) ||
-      !r.U64(&result.quarantined_signatures) ||
-      !r.U64(&result.watchdog_kills) || !r.U64(&result.queue_depth) ||
-      !r.U64(&result.in_flight) || !r.U64(&result.cache_replayed) ||
-      !r.U64(&result.cache_crc_skipped) ||
-      !r.U64(&result.cache_truncated_bytes) ||
-      !r.U64(&result.cache_append_errors) ||
-      !r.U64(&result.cache_open_errors) || !r.U64(&result.store_puts) ||
-      !r.U64(&result.store_gets) || !r.U64(&result.store_corrupt) ||
-      !r.U64(&result.store_missing) || !r.U64(&result.store_unavailable) ||
-      !r.U64(&result.served_http) || !r.U64(&result.quota_rejected_http) ||
-      !r.U64(&result.shed_http) || !r.U64(&result.batches) ||
-      !r.U64(&result.batch_jobs) || !r.U64(&result.batch_cache_hits) ||
-      !r.U64(&result.batch_graph_loads) || !r.U64(&result.jobs_submitted) ||
-      !r.U64(&result.jobs_deduped) || !r.U64(&result.jobs_done) ||
-      !r.U64(&result.jobs_failed) || !r.U64(&result.jobs_cancelled) ||
-      !r.U64(&result.jobs_executions) || !r.U64(&result.jobs_recovered) ||
-      !r.U64(&result.jobs_pending) || !r.U32(&workers)) {
-    return BadPayload("malformed server stats result");
-  }
-  // Worker count is operator-bounded (<= 1024 threads); the same bound
-  // protects the decode against a hostile length.
-  if (workers > 1024) return BadPayload("malformed server stats result");
-  result.worker_restarts.reserve(workers);
-  for (uint32_t i = 0; i < workers; ++i) {
-    uint64_t restarts = 0;
-    if (!r.U64(&restarts)) return BadPayload("malformed server stats result");
-    result.worker_restarts.push_back(restarts);
-  }
-  if (!r.AtEnd()) return BadPayload("malformed server stats result");
-  return result;
+  return Decode<ServerStatsResult>(body, "malformed server stats result");
 }
 
 std::string EncodeCacheInfoResult(const CacheInfoResult& result) {
-  ByteWriter w;
-  w.U64(result.hits);
-  w.U64(result.misses);
-  w.U64(result.evictions);
-  w.U64(result.entries);
-  w.U64(result.bytes);
-  w.U64(result.capacity_bytes);
-  return w.Take();
+  return EncodeFields(result);
 }
 
 Result<CacheInfoResult> DecodeCacheInfoResult(std::string_view body) {
-  ByteReader r(body);
-  CacheInfoResult result;
-  if (!r.U64(&result.hits) || !r.U64(&result.misses) ||
-      !r.U64(&result.evictions) || !r.U64(&result.entries) ||
-      !r.U64(&result.bytes) || !r.U64(&result.capacity_bytes) ||
-      !r.AtEnd()) {
-    return BadPayload("malformed cache info result");
-  }
-  return result;
+  return Decode<CacheInfoResult>(body, "malformed cache info result");
 }
 
 std::string EncodePutGraphResult(const PutGraphResult& result) {
-  ByteWriter w;
-  w.U64(result.content_hash);
-  w.U8(result.already_present ? 1 : 0);
-  return w.Take();
+  return EncodeFields(result);
 }
 
 Result<PutGraphResult> DecodePutGraphResult(std::string_view body) {
-  ByteReader r(body);
-  PutGraphResult result;
-  uint8_t already = 0;
-  if (!r.U64(&result.content_hash) || !r.U8(&already) || !r.AtEnd()) {
-    return BadPayload("malformed put-graph result");
-  }
-  result.already_present = already != 0;
-  return result;
+  return Decode<PutGraphResult>(body, "malformed put-graph result");
 }
 
 std::string EncodeHasGraphResult(const HasGraphResult& result) {
-  ByteWriter w;
-  w.U8(result.present ? 1 : 0);
-  return w.Take();
+  return EncodeFields(result);
 }
 
 Result<HasGraphResult> DecodeHasGraphResult(std::string_view body) {
-  ByteReader r(body);
-  HasGraphResult result;
-  uint8_t present = 0;
-  if (!r.U8(&present) || !r.AtEnd()) {
-    return BadPayload("malformed has-graph result");
-  }
-  result.present = present != 0;
-  return result;
+  return Decode<HasGraphResult>(body, "malformed has-graph result");
 }
 
 }  // namespace graphalign

@@ -6,7 +6,7 @@
 //   "GAF1" (4-byte magic) | u32 payload length (LE) | payload bytes
 //
 // and each payload is one request or one response, encoded with the
-// bounds-checked ByteWriter/ByteReader below. The parser is total: any
+// bounds-checked field lists of common/wire.h. The parser is total: any
 // sequence of bytes — truncated, oversized, zero-length, garbage — yields a
 // typed outcome, never a crash, an allocation blow-up, or a hang (the frame
 // length is validated against kMaxFramePayload before anything is
@@ -94,9 +94,10 @@ std::string EncodeFrame(std::string_view payload);
 Result<bool> ReadFrameFromFd(int fd, std::string* payload);
 Status WriteFrameToFd(int fd, std::string_view payload);
 
-// Payload (de)serialization uses the shared bounds-checked ByteWriter/
-// ByteReader (common/wire.h), the same primitives behind the cache log and
-// the job journal.
+// Every payload below is encoded and decoded by one field list per message
+// (common/wire.h's FieldWriter/FieldReader over the ByteWriter/ByteReader
+// behind the cache log and the job journal). The lists live in protocol.cc,
+// except ServerStatsResult's, which the gateway walks too.
 
 // ---------------------------------------------------------------------------
 // Requests.
@@ -461,6 +462,56 @@ struct ServerStatsResult {
 
 std::string EncodeServerStatsResult(const ServerStatsResult& result);
 Result<ServerStatsResult> DecodeServerStatsResult(std::string_view body);
+
+// ServerStatsResult's field list (common/wire.h), in wire order. Each field
+// carries its name, so the gateway's GET /stats builds its daemon object by
+// walking this list too: a new counter reaches the wire and /stats in one
+// edit.
+template <typename Ar>
+void Fields(Ar& ar, Msg<ServerStatsResult> auto& s) {
+  ar.U64(s.workers, "workers");
+  ar.F64(s.uptime_seconds, "uptime_seconds");
+  ar.U64(s.accepted, "accepted");
+  ar.U64(s.served, "served");
+  ar.U64(s.busy_rejected, "busy_rejected");
+  ar.U64(s.quota_rejected, "quota_rejected");
+  ar.U64(s.shed, "shed");
+  ar.U64(s.quarantined, "quarantined");
+  ar.U64(s.quarantined_signatures, "quarantined_signatures");
+  ar.U64(s.watchdog_kills, "watchdog_kills");
+  ar.U64(s.queue_depth, "queue_depth");
+  ar.U64(s.in_flight, "in_flight");
+  ar.U64(s.cache_replayed, "cache_replayed");
+  ar.U64(s.cache_crc_skipped, "cache_crc_skipped");
+  ar.U64(s.cache_truncated_bytes, "cache_truncated_bytes");
+  ar.U64(s.cache_append_errors, "cache_append_errors");
+  ar.U64(s.cache_open_errors, "cache_open_errors");
+  ar.U64(s.store_puts, "store_puts");
+  ar.U64(s.store_gets, "store_gets");
+  ar.U64(s.store_corrupt, "store_corrupt");
+  ar.U64(s.store_missing, "store_missing");
+  ar.U64(s.store_unavailable, "store_unavailable");
+  ar.U64(s.served_http, "served_http");
+  ar.U64(s.quota_rejected_http, "quota_rejected_http");
+  ar.U64(s.shed_http, "shed_http");
+  ar.U64(s.batches, "batches");
+  ar.U64(s.batch_jobs, "batch_jobs");
+  ar.U64(s.batch_cache_hits, "batch_cache_hits");
+  ar.U64(s.batch_graph_loads, "batch_graph_loads");
+  ar.U64(s.jobs_submitted, "jobs_submitted");
+  ar.U64(s.jobs_deduped, "jobs_deduped");
+  ar.U64(s.jobs_done, "jobs_done");
+  ar.U64(s.jobs_failed, "jobs_failed");
+  ar.U64(s.jobs_cancelled, "jobs_cancelled");
+  ar.U64(s.jobs_executions, "jobs_executions");
+  ar.U64(s.jobs_recovered, "jobs_recovered");
+  ar.U64(s.jobs_pending, "jobs_pending");
+  // Worker count is operator-bounded (<= 1024 threads); the same bound
+  // protects the decode against a hostile length.
+  ar.List(
+      s.worker_restarts, 1024, [&](auto& restarts) { ar.U64(restarts); },
+      "worker_restarts");
+}
 
 }  // namespace graphalign
 

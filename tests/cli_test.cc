@@ -1,4 +1,6 @@
+#include <sys/socket.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -6,6 +8,7 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,10 +16,12 @@
 #include "align/aligner.h"
 #include "assignment/sparse_lap.h"
 #include "cli/cli.h"
+#include "common/socket.h"
 #include "common/table.h"
 #include "gateway/json.h"
 #include "graph/io.h"
 #include "metrics/metrics.h"
+#include "server/protocol.h"
 
 namespace graphalign {
 namespace {
@@ -468,6 +473,50 @@ TEST(CliTest, StoreBenchJsonEscapesTheGraphPath) {
   std::remove(g1.c_str());
   std::remove(json.c_str());
   std::filesystem::remove_all(dir);
+}
+
+// `submit --stats` prints every ServerStatsResult counter. A one-shot
+// daemon stand-in answers the kServerStats request with distinct values.
+TEST(CliTest, SubmitStatsPrintsEveryCounter) {
+  const std::string sock = TempPath("stats.sock");
+  std::remove(sock.c_str());
+  Result<int> listener = ListenUnix(sock);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  ServerStatsResult stats;
+  stats.workers = 2;
+  stats.served_http = 41;
+  stats.quota_rejected_http = 42;
+  stats.shed_http = 43;
+  stats.batches = 44;
+  stats.batch_jobs = 45;
+  stats.batch_cache_hits = 46;
+  stats.batch_graph_loads = 47;
+  stats.worker_restarts = {0, 1};
+  std::thread daemon([&] {
+    const int fd = accept(*listener, nullptr, nullptr);
+    std::string payload;
+    if (fd >= 0 && ReadFrameFromFd(fd, &payload).ok()) {
+      Response response;
+      response.body = EncodeServerStatsResult(stats);
+      (void)WriteFrameToFd(fd, EncodeResponse(response));
+    }
+    if (fd >= 0) close(fd);
+  });
+  CliResult r = RunTool({"submit", "--socket", sock, "--stats"});
+  daemon.join();
+  close(*listener);
+  std::remove(sock.c_str());
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_NE(r.out.find("\ntransport: served_http=41 quota_rejected_http=42 "
+                       "shed_http=43\n"),
+            std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("\nbatch: batches=44 jobs=45 cache_hits=46 "
+                       "graph_loads=47\n"),
+            std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("\nworker_restarts: 0 1\n"), std::string::npos)
+      << r.out;
 }
 
 TEST(CliTest, ValueTakingFlagWithoutValueFails) {

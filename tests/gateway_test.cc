@@ -877,6 +877,38 @@ TEST_F(GatewayFixture, StatsReportsBothLayers) {
   }
 }
 
+// Collects the names ServerStatsResult's field list gives its fields.
+struct FieldNames {
+  std::vector<std::string> names;
+  void U64(uint64_t, const char* name = nullptr) {
+    if (name != nullptr) names.push_back(name);
+  }
+  void F64(double, const char* name) { names.push_back(name); }
+  template <typename V, typename Fn>
+  void List(const V&, uint64_t, Fn&&, const char* name) {
+    names.push_back(name);
+  }
+};
+
+// The daemon object is built from the field list: every field, under its
+// name, in wire order.
+TEST_F(GatewayFixture, StatsDaemonObjectCarriesEveryField) {
+  StartDaemon({});
+  StartGateway();
+  HttpReply reply = Get(port(), "/stats");
+  ASSERT_EQ(reply.status, 200) << reply.raw;
+  auto body = ParseJson(reply.body);
+  ASSERT_TRUE(body.ok()) << body.status().ToString();
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : body->Get("daemon").Items()) {
+    keys.push_back(key);
+  }
+  FieldNames fields;
+  const ServerStatsResult stats;
+  Fields(fields, stats);
+  EXPECT_EQ(keys, fields.names);
+}
+
 TEST_F(GatewayFixture, ConcurrentClientsAllSucceed) {
   StartDaemon({});
   GatewayOptions gopts;

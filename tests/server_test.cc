@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -26,6 +27,7 @@
 #include "graph/graph.h"
 #include "server/cache.h"
 #include "server/client.h"
+#include "server/isolation.h"
 #include "server/protocol.h"
 #include "server/server.h"
 
@@ -307,6 +309,99 @@ TEST(CodecTest, RequestCarriesClientIdentity) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().message();
   EXPECT_EQ(decoded->type, RequestType::kPing);
   EXPECT_EQ(decoded->client, "tenant-a");
+}
+
+// The isolated child's code byte and the helper's status code come from the
+// untrusted side of the isolation boundary: both are range-checked.
+TEST(IsolationCodecTest, ChildOutcomeCodeByteIsRangeChecked) {
+  // u8 0 (an error), the code byte, then a u32-prefixed message "x".
+  auto outcome = [](uint8_t code) {
+    return std::string{'\0', static_cast<char>(code), 1, 0, 0, 0, 'x'};
+  };
+  Response response;
+  ASSERT_TRUE(DecodeAlignOutcome(outcome(15), &response));
+  EXPECT_EQ(response.code, ResponseCode::kConflict);
+  EXPECT_EQ(response.message, "x");
+  EXPECT_FALSE(DecodeAlignOutcome(outcome(16), &response));
+  EXPECT_FALSE(DecodeAlignOutcome(outcome(200), &response));
+}
+
+TEST(IsolationCodecTest, HelperReplyStatusCodeIsRangeChecked) {
+  // u8 0 (the helper did not run the child), the u32 status code, "x".
+  auto reply = [](uint32_t code) {
+    ByteWriter w;
+    w.U8(0);
+    w.U32(code);
+    w.Str("x");
+    return w.Take();
+  };
+  const uint32_t last = static_cast<uint32_t>(kLastStatusCode);
+  auto decoded = DecodeHelperReply(reply(last));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), kLastStatusCode);
+  EXPECT_EQ(decoded.status().message(), "x");
+  for (uint32_t code : {0u, last + 1, 99u}) {
+    decoded = DecodeHelperReply(reply(code));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInternal) << code;
+    EXPECT_EQ(decoded.status().message(), "isolation: malformed helper reply")
+        << code;
+  }
+}
+
+// Walks ServerStatsResult's field list, giving every field a distinct value
+// (each list three items) and recording its name.
+struct NumberingArchive {
+  std::vector<std::string> names;
+  uint64_t next = 1;
+  void U64(uint64_t& v, const char* name = nullptr) {
+    v = next++;
+    if (name != nullptr) names.push_back(name);
+  }
+  void F64(double& v, const char* name) {
+    v = static_cast<double>(next++) + 0.5;
+    names.push_back(name);
+  }
+  template <typename V, typename Fn>
+  void List(V& items, uint64_t, Fn&& each, const char* name) {
+    items.resize(3);
+    for (auto& item : items) each(item);
+    names.push_back(name);
+  }
+};
+
+// Reads every field's value back in list order.
+struct ValueArchive {
+  std::vector<double> values;
+  void U64(uint64_t v, const char* = nullptr) {
+    values.push_back(static_cast<double>(v));
+  }
+  void F64(double v, const char*) { values.push_back(v); }
+  template <typename V, typename Fn>
+  void List(const V& items, uint64_t, Fn&& each, const char*) {
+    for (const auto& item : items) each(item);
+  }
+};
+
+TEST(CodecTest, EveryServerStatsFieldRoundTripsDistinct) {
+  ServerStatsResult stats;
+  NumberingArchive numbering;
+  Fields(numbering, stats);
+  // 36 counters, the uptime and the per-slot restart list, each named once.
+  ASSERT_EQ(numbering.names.size(), 38u);
+  EXPECT_EQ(std::set<std::string>(numbering.names.begin(),
+                                  numbering.names.end())
+                .size(),
+            numbering.names.size());
+  auto decoded = DecodeServerStatsResult(EncodeServerStatsResult(stats));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ValueArchive sent, received;
+  Fields(sent, stats);
+  Fields(received, *decoded);
+  ASSERT_EQ(sent.values.size(), 40u);  // 37 scalars and 3 restart counts.
+  EXPECT_EQ(received.values, sent.values);
+  EXPECT_EQ(std::set<double>(sent.values.begin(), sent.values.end()).size(),
+            sent.values.size());
 }
 
 TEST(CodecTest, ServerStatsResultRoundTrips) {
